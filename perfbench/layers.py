@@ -189,8 +189,13 @@ def resolve(layers=LAYERS):
         yield owner, attr, span_name
 
 
-def slow_down(span_name: str, factor: float) -> None:
-    """Make every call of layer *span_name* cost ``1 + factor`` times
+#: the sensitivity check's deliberate regression: every call of the
+#: slowed layer costs this much more CPU time.
+SLOW_FACTOR = 0.2
+
+
+def slow_down(span_name: str) -> None:
+    """Make every call of layer *span_name* cost ``1 + SLOW_FACTOR`` times
     its CPU time (a busy wait after the call, timed in process CPU time
     so that sharing the vCPU with the reference canary does not scale
     it) for the rest of the process.
@@ -210,7 +215,7 @@ def slow_down(span_name: str, factor: float) -> None:
             return original(*args, **kwargs)
         finally:
             now = time.process_time()
-            until = now + factor * (now - start)
+            until = now + SLOW_FACTOR * (now - start)
             while time.process_time() < until:
                 pass
 

@@ -190,6 +190,10 @@ class Canary:
         os.unlink(self.path)
 
 
+#: seconds between canary rotations (see :class:`ReferenceClock`).
+ROTATE_S = 2.0
+
+
 class ReferenceClock:
     """Measures repetitions in units of one reference-kernel call.
 
@@ -199,17 +203,16 @@ class ReferenceClock:
     kernel call over the same window.  Machine slowdowns that last
     longer than a scheduler slice hit both alike and cancel.
 
-    Every *rotate_s* seconds the canary is replaced by the next one,
+    Every :data:`ROTATE_S` seconds the canary is replaced by the next one,
     which got ready in the background.  That averages out the
     per-process speed of the kernel itself: CPython runs the same loop
     a few percent faster or slower depending on its memory layout.
     Canary state files live in *scratch*.
     """
 
-    def __init__(self, kernel: str, scratch, rotate_s: float = 2.0):
+    def __init__(self, kernel: str, scratch):
         self.kernel = kernel
         self.scratch = str(scratch)
-        self.rotate_s = rotate_s
         self.affinity = os.sched_getaffinity(0)
         self.cpu = min(self.affinity)
         self.canary = self.next = None
@@ -227,7 +230,7 @@ class ReferenceClock:
         return Canary(self.kernel, self.cpu, self.scratch)
 
     def _rotate(self) -> None:
-        if (time.monotonic() - self.attached < self.rotate_s
+        if (time.monotonic() - self.attached < ROTATE_S
                 or not self.next.ready()):
             return
         old, self.canary, self.next = self.canary, self.next, None

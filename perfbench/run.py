@@ -95,8 +95,7 @@ def run_workers(args, interpreters: int, scratch: Path) -> list[dict]:
                 "--trace", str(args.trace if last else 0),
                 "--scratch", str(scratch)]
         if args.slow:
-            argv += ["--slow", args.slow, "--slow-factor",
-                     str(args.slow_factor)]
+            argv += ["--slow", args.slow]
         worker = Worker(argv, deadline)
         try:
             ready = worker.line()
@@ -109,9 +108,13 @@ def run_workers(args, interpreters: int, scratch: Path) -> list[dict]:
 
 
 def source_digest() -> str:
+    """Digest of everything the exact counts depend on: the program
+    sources and the benchmark's workload shapes and wrapped layers."""
     digest = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        digest.update(str(path.relative_to(SRC)).encode())
+    paths = sorted(SRC.rglob("*.py")) + [HERE / "workloads.py",
+                                         HERE / "layers.py"]
+    for path in paths:
+        digest.update(str(path.relative_to(ROOT)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
@@ -120,7 +123,8 @@ def check_counts(workload: str, seed: int, counts: list[dict],
                  state_dir: Path) -> list[str]:
     """Exact counts must repeat across the traced repetitions of this
     run and across runs of the same source with the same seed (the
-    first run's counts are kept under *state_dir*)."""
+    first run's counts are kept under *state_dir*, keyed by
+    :func:`source_digest`)."""
     problems = []
     if any(c != counts[0] for c in counts[1:]):
         problems.append(f"exact counts differ between repetitions: "
@@ -183,8 +187,6 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--slow", default=None, help=argparse.SUPPRESS)
-    p.add_argument("--slow-factor", type=float, default=0.2,
-                   help=argparse.SUPPRESS)
     args = p.parse_args(argv)
 
     if not (SRC / "repro" / "__init__.py").is_file():

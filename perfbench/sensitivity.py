@@ -1,10 +1,10 @@
 """Sensitivity check: a deliberate ~20% slowdown of one layer must show.
 
-    python3 perfbench/sensitivity.py --runs 5 --seconds 10
+    python3 perfbench/sensitivity.py --runs 5
 
 For each case the benchmark is run with every call of one wrapped
-layer made ``1 + --factor`` times as long (``run.py --slow``, a busy
-wait inside the layer's wrapper; no program file is touched), and
+layer made ``1 + layers.SLOW_FACTOR`` times as long (``run.py --slow``,
+a busy wait inside the layer's wrapper; no program file is touched), and
 without it, alternating the two so that machine phases hit both
 sides alike.  A case passes when
 
@@ -20,6 +20,9 @@ sides alike.  A case passes when
 
 Cases: ``spice.newton`` (cosim moves, ber does not) and ``link.afe``
 (mui moves, cosim does not).  Exit code 0 when every case passes.
+The ``link.afe`` case fails at the declared bound: the AFE is about
+43% of mui, so its 20% slowdown moves mui by about 9%, inside the
+bound (see ``perfbench/README.md``).
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from layers import SLOW_FACTOR
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -44,12 +49,12 @@ CASES = (("spice.newton", "spice.newton.s", "cosim", "ber"),
 
 
 def run(workload: str, seed: int, seconds: int, trace: int,
-        slow: str | None, factor: float) -> dict[str, float]:
+        slow: str | None) -> dict[str, float]:
     argv = [sys.executable, str(HERE / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds),
             "--trace", str(trace)]
     if slow:
-        argv += ["--slow", slow, "--slow-factor", str(factor)]
+        argv += ["--slow", slow]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
     if proc.returncode:
@@ -59,7 +64,7 @@ def run(workload: str, seed: int, seconds: int, trace: int,
     return {k: v["value"] for k, v in metrics.items()}
 
 
-def paired_medians(workload, layer, args) -> tuple[float, float]:
+def paired_medians(workload, layer, seconds, args) -> tuple[float, float]:
     """Median :data:`GATED` metric without and with the slowdown."""
     base, slow = [], []
     for i in range(args.runs):
@@ -68,38 +73,43 @@ def paired_medians(workload, layer, args) -> tuple[float, float]:
         if i % 2:
             sides.reverse()
         for out, slow_layer in sides:
-            out.append(run(workload, seed, args.seconds, 0, slow_layer,
-                           args.factor)[GATED])
+            out.append(run(workload, seed, seconds, 0,
+                           slow_layer)[GATED])
     return statistics.median(base), statistics.median(slow)
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--seconds", type=int, default=10)
-    p.add_argument("--factor", type=float, default=0.2)
     p.add_argument("--first-seed", type=int, default=200)
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     bound = next(m["bound"] for m in spec["end_to_end"]
                  if m["name"] == GATED)
 
     passed = True
     for layer, layer_metric, target, bypass in CASES:
-        print(f"\n{layer} slowed by {args.factor:.0%}")
+        print(f"\n{layer} slowed by {SLOW_FACTOR:.0%}")
         shares = []
         for slow in (None, layer):
-            m = run(target, args.first_seed, args.seconds, 1, slow,
-                    args.factor)
+            m = run(target, args.first_seed, seconds, 1, slow)
             shares.append(m[layer_metric] / m["trace.wall_s"])
         rise = shares[1] / shares[0] - 1.0
-        ok = rise > args.factor / 4
+        ok = rise > SLOW_FACTOR / 4
         passed &= ok
         print(f"  {target}: {layer_metric} share of the repetition "
               f"{shares[0]:.3f} -> {shares[1]:.3f} ({rise:+.1%}) "
               f"{'moves' if ok else 'DOES NOT MOVE'}")
+        # The slowdown adds SLOW_FACTOR of each call's whole duration,
+        # so the workload gets worse by about share x SLOW_FACTOR, or
+        # more when the layer's calls contain other wrapped layers (the
+        # share counts self time only).  Below the bound, the case
+        # cannot pass.
+        print(f"  {target}: end-to-end move implied by the self-time "
+              f"share: {shares[0] * SLOW_FACTOR:+.1%}")
         for workload, should_cross in ((target, True), (bypass, False)):
-            base, slow = paired_medians(workload, layer, args)
+            base, slow = paired_medians(workload, layer, seconds, args)
             worse = slow / base - 1.0
             crossed = worse > bound
             ok = crossed == should_cross

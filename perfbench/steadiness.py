@@ -59,24 +59,21 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--sets", type=int, choices=(1, 2), default=1)
-    p.add_argument("--seconds", type=int, default=spec["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--first-seed", type=int, default=100)
     p.add_argument("--workloads", nargs="+",
                    default=[w["name"] for w in spec["workloads"]])
-    p.add_argument("--out", type=Path, default=None,
-                   help="also write every run's result here (JSON)")
     args = p.parse_args(argv)
     declared = spec["per_layer"] if args.trace else spec["end_to_end"]
+    seconds = spec["run_seconds"]
     ok = True
-    record: dict = {}
     for workload in args.workloads:
         sets = []
         for s in range(args.sets):
             results = []
             for i in range(args.runs):
                 result = run_once(workload, args.first_seed + i,
-                                  args.seconds, args.trace)
+                                  seconds, args.trace)
                 ok &= result["correct"] and result["failed"] == 0
                 results.append(result)
                 print(f"{workload} set {s + 1} run {i + 1}: " + " ".join(
@@ -84,9 +81,8 @@ def main(argv=None) -> int:
                     for k, v in list(result["metrics"].items())[:4]),
                     file=sys.stderr, flush=True)
             sets.append(results)
-        record[workload] = sets
         print(f"\n{workload}: {args.runs} runs x {args.sets} set(s), "
-              f"{args.seconds} s each")
+              f"{seconds} s each")
         print(f"  {'metric':<28}{'unit':>7}{'median':>13}{'q1':>13}"
               f"{'q3':>13}{'iqr/med':>9}{'bound':>7}  verdict")
         for m in declared:
@@ -101,8 +97,7 @@ def main(argv=None) -> int:
                     verdict = ("steady" if rel < bound / 3
                                else "within bound" if rel <= bound
                                else "OVER BOUND")
-                    if rel > bound and m["name"] != "setup_s":
-                        ok = False
+                    ok &= rel <= bound
                 print(f"  {m['name']:<28}{m['unit']:>7}{median:>13.5g}"
                       f"{q1:>13.5g}{q3:>13.5g}{rel:>9.3f}"
                       f"{'' if bound is None else bound:>7}  {verdict}")
@@ -112,8 +107,6 @@ def main(argv=None) -> int:
                 ok &= agree
                 print(f"  {'':<28}{'':>7}  set 2 vs set 1: worse by "
                       f"{moved:+.3f} ({'agree' if agree else 'DISAGREE'})")
-    if args.out:
-        args.out.write_text(json.dumps(record, indent=1))
     return 0 if ok else 1
 
 

@@ -160,16 +160,15 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=10.0)
+    p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--scratch", type=Path, required=True)
     p.add_argument("--slow", default=None,
                    help="layer span name to slow down (sensitivity)")
-    p.add_argument("--slow-factor", type=float, default=0.2)
     args = p.parse_args(argv)
 
     if args.slow:
-        layers.slow_down(args.slow, args.slow_factor)
+        layers.slow_down(args.slow)
     workload = WORKLOADS[args.workload]
     reps = Repetitions(workload, args.seed, args.scratch)
     warmup_s = reps.run()["wall_s"]

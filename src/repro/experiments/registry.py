@@ -39,8 +39,6 @@ class ExperimentContext:
         store: campaign result store (``None`` disables caching).
         chunk_bits: Monte-Carlo chunk size override (``None`` keeps
             each backend's native default).
-        batch_points: scenario-batched sweep kernel (default) versus
-            the legacy per-point loop (``--no-batch-points``).
     """
 
     full: bool = False
@@ -48,7 +46,6 @@ class ExperimentContext:
     seed: int | None = None
     store: Any | None = None
     chunk_bits: int | None = None
-    batch_points: bool = True
 
     def seed_kwargs(self, name: str = "seed") -> dict[str, int]:
         """``{name: seed}`` when a seed override is set, else ``{}`` -

@@ -18,17 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-import warnings
-
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.store import ResultStore
 from repro.core.metrics import RangingComparison
 from repro.core.scenario import Scenario
 from repro.experiments.registry import ExperimentContext, experiment
 from repro.link import ChannelSpec, FrontEndSpec, LinkSpec, ops
-from repro.uwb import RangingResult, TwoWayRanging, UwbConfig
+from repro.uwb import UwbConfig
 from repro.uwb.integrator import WindowIntegrator
 
 #: The overdriven AGC operating point of the TWR runs (see module doc).
@@ -73,47 +69,6 @@ class Table2Result:
                  f"  variance decreased with circuit: "
                  f"{self.comparison.variance_decreased('ideal', 'circuit')}"]
         return "\n".join(lines)
-
-
-def make_twr(config: UwbConfig, integrator: WindowIntegrator,
-             distance: float = 9.9,
-             noise_sigma: float = TWR_NOISE_SIGMA) -> TwoWayRanging:
-    """Deprecated TWR assembly helper.
-
-    .. deprecated::
-        Build the link via :func:`twr_spec` and call
-        ``get_backend("fastsim").ranging(spec, ...)`` (or
-        :func:`repro.link.ops.ranging`).
-    """
-    warnings.warn(
-        "make_twr is deprecated; build the link via twr_spec() and "
-        "run it through repro.link (Backend.ranging / ops.ranging)",
-        DeprecationWarning, stacklevel=2)
-    from repro.link import build_channel_model, build_receiver
-
-    spec = twr_spec(distance).with_(config=config)
-    return TwoWayRanging(
-        spec.config,
-        lambda: build_receiver(spec, integrator=integrator),
-        distance=distance, tx_amplitude=1.0,
-        noise_sigma=noise_sigma,
-        channel=build_channel_model(spec))
-
-
-def run_twr_arm(integrator: WindowIntegrator, distance: float,
-                iterations: int, rng: np.random.Generator,
-                noise_sigma: float = TWR_NOISE_SIGMA) -> RangingResult:
-    """Deprecated table-2 arm runner.
-
-    .. deprecated::
-        Use :func:`repro.link.ops.ranging` with :func:`twr_spec`.
-    """
-    warnings.warn(
-        "run_twr_arm is deprecated; use repro.link.ops.ranging with "
-        "twr_spec()",
-        DeprecationWarning, stacklevel=2)
-    return ops.ranging(twr_spec(distance), iterations, rng,
-                       integrator=integrator, noise_sigma=noise_sigma)
 
 
 def run_table2(distance: float = 9.9, iterations: int = 10,

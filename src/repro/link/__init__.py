@@ -54,8 +54,6 @@ from repro.link.pipeline import (
     SignalPipeline,
     Stage,
     TxStage,
-    build_link_pipeline,
-    run_ber_point,
     run_ber_sweep,
 )
 from repro.link.registry import (
@@ -118,7 +116,6 @@ __all__ = [
     "build_channel_realization",
     "build_interferer_paths",
     "build_interferer_realization",
-    "build_link_pipeline",
     "build_receiver",
     "calibrate",
     "default_link_registry",
@@ -129,7 +126,6 @@ __all__ = [
     "register_backend",
     "register_integrator",
     "resolve_integrator",
-    "run_ber_point",
     "run_ber_sweep",
     "run_equivalence",
     "split_network",

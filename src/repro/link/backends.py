@@ -34,7 +34,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.link.pipeline import InterfererPath
+from repro.link.pipeline import InterfererPath, _cell_continues
 from repro.link.registry import resolve_integrator
 from repro.link.spec import InterfererSpec, LinkSpec, NetworkSpec
 from repro.uwb.adc import Adc
@@ -45,12 +45,9 @@ from repro.uwb.channel.ieee802154a import ChannelRealization, Cm1Channel
 from repro.uwb.fastsim import (
     AdaptiveStopping,
     BerResult,
-    _ber_curve,
     _ber_sweep,
     _curve_result,
     _LinkCache,
-    _simulate_ber_point,
-    wilson_interval,
 )
 from repro.uwb.frontend import Vga
 from repro.uwb.integrator import WindowIntegrator, nominal_gain
@@ -386,6 +383,34 @@ class FastsimBackend(Backend):
             return build_adc(spec)
         return None
 
+    def _sweep(self, spec: LinkSpec | NetworkSpec, integrators: tuple,
+               ebn0_grid: np.ndarray, rng: np.random.Generator,
+               **budget: Any) -> tuple[list, np.ndarray, np.ndarray]:
+        """The one Monte-Carlo run behind every BER operation: resolve
+        *integrators* (``None`` = the spec's own), calibrate the victim
+        and run :func:`~repro.uwb.fastsim._ber_sweep` over
+        ``integrators x ebn0_grid``.
+
+        Returns:
+            ``(resolved integrators, errors, bits)``; the counter
+            arrays have one row per integrator.
+        """
+        victim, network = split_network(spec)
+        resolved = [self._integrator(victim, integ, cosim=False)
+                    for integ in integrators]
+        # One (memoized) calibration drives the noise sizing, any
+        # interferer SIR amplitudes and every cell of the sweep.
+        cache = calibrate(victim)
+        interferers: tuple[InterfererPath, ...] = ()
+        if network is not None and network.interferers:
+            interferers = build_interferer_paths(network, cache=cache)
+        errors, bits = _ber_sweep(
+            victim.config, tuple(resolved), ebn0_grid, rng,
+            squarer_drive=victim.frontend.squarer_drive,
+            adc=self._ber_adc(victim), interferers=interferers,
+            _cache=cache, **budget)
+        return resolved, errors, bits
+
     def ber_point(self, spec: LinkSpec | NetworkSpec, ebn0_db: float,
                   rng: np.random.Generator, *,
                   integrator: str | WindowIntegrator | None = None,
@@ -395,23 +420,13 @@ class FastsimBackend(Backend):
                   chunk_bits: int = 1_000,
                   adaptive: AdaptiveStopping | None = None
                   ) -> tuple[int, int]:
-        victim, network = split_network(spec)
-        resolved = self._integrator(victim, integrator, cosim=False)
-        # One (memoized) calibration drives the noise sizing, any
-        # interferer SIR amplitudes and the point's channel/BPF.
-        cache = calibrate(victim)
-        extra: dict[str, Any] = dict(_cache=cache)
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
-        return _simulate_ber_point(
-            victim.config, resolved, float(ebn0_db), rng,
-            channel=cache.channel, bpf=cache.bpf,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
+        """Monte-Carlo ``(errors, bits)`` at one Eb/N0 point (a 1x1
+        sweep)."""
+        _, errors, bits = self._sweep(
+            spec, (integrator,), np.array([float(ebn0_db)]), rng,
             target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive, **extra)
+            min_bits=min_bits, chunk_bits=chunk_bits, adaptive=adaptive)
+        return int(errors[0, 0]), int(bits[0, 0])
 
     def ber_curve(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
                   rng: np.random.Generator, *,
@@ -421,27 +436,17 @@ class FastsimBackend(Backend):
                   max_bits: int = 200_000,
                   min_bits: int = 2_000,
                   chunk_bits: int = 1_000,
-                  workers: int | None = None,
-                  adaptive: AdaptiveStopping | None = None,
-                  batch_points: bool | None = None) -> BerResult:
-        victim, network = split_network(spec)
-        resolved = self._integrator(victim, integrator, cosim=False)
-        # One (memoized) calibration drives the noise sizing, any
-        # interferer SIR amplitudes and every point of the curve.
-        cache = calibrate(victim)
-        extra: dict[str, Any] = dict(_cache=cache)
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
-        return _ber_curve(
-            victim.config, resolved, ebn0_grid, rng,
-            channel=cache.channel, bpf=cache.bpf,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
+                  adaptive: AdaptiveStopping | None = None) -> BerResult:
+        """BER versus Eb/N0 for one integrator (a 1xM sweep: every
+        point is bit-identical to :meth:`ber_point` from a generator
+        seeded like *rng*)."""
+        ebn0_grid = np.asarray(ebn0_grid, dtype=float)
+        (resolved,), errors, bits = self._sweep(
+            spec, (integrator,), ebn0_grid, rng,
             target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits, label=label,
-            workers=workers, adaptive=adaptive,
-            batch_points=batch_points, **extra)
+            min_bits=min_bits, chunk_bits=chunk_bits, adaptive=adaptive)
+        return _curve_result(ebn0_grid, errors[0], bits[0],
+                             label or resolved.name, adaptive)
 
     def sweep(self, spec: LinkSpec | NetworkSpec, ebn0_grid,
               rng: np.random.Generator, *,
@@ -453,14 +458,14 @@ class FastsimBackend(Backend):
               chunk_bits: int = 1_000,
               adaptive: AdaptiveStopping | None = None
               ) -> dict[str, BerResult]:
-        """Batched multi-curve BER sweep: one shared front end, one
+        """Multi-curve BER sweep (KxM): one shared front end, one
         decision stage per integrator, every (integrator, Eb/N0) cell
         graded from the same bit/noise draws.
 
-        Each returned curve is bit-identical to
-        :meth:`ber_curve` called with the same *rng* seeding
-        convention (a fresh generator per point) - the batch only
-        reorganizes the arithmetic, never the entropy stream.
+        Each cell is bit-identical to :meth:`ber_point` of its
+        integrator and Eb/N0 from a generator seeded like *rng* - the
+        batch only reorganizes the arithmetic, never the entropy
+        stream.
 
         Args:
             integrators: registry names or model instances; their
@@ -468,32 +473,22 @@ class FastsimBackend(Backend):
             labels: one result key per integrator (defaults to the
                 registry name / model name).
         """
-        victim, network = split_network(spec)
-        resolved = [self._integrator(victim, integ, cosim=False)
-                    for integ in integrators]
+        if labels is not None:
+            if len(labels) != len(integrators):
+                raise ValueError(
+                    f"{len(integrators)} integrators need "
+                    f"{len(integrators)} labels, got {len(labels)}")
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate sweep labels: {labels!r}")
+        ebn0_grid = np.asarray(ebn0_grid, dtype=float)
+        resolved, errors, bits = self._sweep(
+            spec, tuple(integrators), ebn0_grid, rng,
+            target_errors=target_errors, max_bits=max_bits,
+            min_bits=min_bits, chunk_bits=chunk_bits, adaptive=adaptive)
         if labels is None:
             labels = tuple(
                 integ if isinstance(integ, str) else r.name
                 for integ, r in zip(integrators, resolved))
-        if len(labels) != len(resolved):
-            raise ValueError(
-                f"{len(resolved)} integrators need {len(resolved)} "
-                f"labels, got {len(labels)}")
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate sweep labels: {labels!r}")
-        cache = calibrate(victim)
-        extra: dict[str, Any] = {}
-        if network is not None and network.interferers:
-            extra["interferers"] = build_interferer_paths(network,
-                                                          cache=cache)
-        ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-        errors, bits = _ber_sweep(
-            victim.config, tuple(resolved), ebn0_grid, rng,
-            squarer_drive=victim.frontend.squarer_drive,
-            adc=self._ber_adc(victim),
-            target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive, _cache=cache, **extra)
         return {
             label: _curve_result(ebn0_grid, errors[k], bits[k],
                                  label, adaptive)
@@ -625,11 +620,10 @@ class KernelBackend(Backend):
         n_sym = cfg.samples_per_symbol
         errors = 0
         bits_done = 0
-        while bits_done < max_bits and (errors < target_errors
-                                        or bits_done < min_bits):
-            if (adaptive is not None and bits_done >= min_bits
-                    and adaptive.resolved(errors, bits_done)):
-                break
+        while _cell_continues(errors, bits_done, bits_done,
+                              target_errors=target_errors,
+                              max_bits=max_bits, min_bits=min_bits,
+                              adaptive=adaptive):
             n = min(chunk_bits, max_bits - bits_done)
             bits = random_bits(n, rng)
             wave = ppm_waveform(bits, cfg)
@@ -653,44 +647,24 @@ class KernelBackend(Backend):
                   max_bits: int = 1_500,
                   min_bits: int = 200,
                   chunk_bits: int = 100,
-                  workers: int | None = None,
-                  adaptive: AdaptiveStopping | None = None,
-                  batch_points: bool | None = None) -> BerResult:
-        """Serial BER sweep (``workers`` is accepted for signature
-        uniformity and ignored: each point is a kernel simulation and
-        fan-out belongs at the campaign layer).  ``batch_points`` may
-        only be falsy - the event-driven testbench has no batched
-        path."""
-        if batch_points:
-            raise ValueError(
-                "KernelBackend has no batched sweep path; pass "
-                "batch_points=False (or use backend='fastsim')")
+                  adaptive: AdaptiveStopping | None = None) -> BerResult:
+        """Serial BER sweep, one kernel-demodulated :meth:`ber_point`
+        per Eb/N0 point on the shared *rng* stream (each point is a
+        kernel simulation; fan-out belongs at the campaign layer)."""
         ebn0_grid = np.asarray(ebn0_grid, dtype=float)
         errors = np.zeros(len(ebn0_grid), dtype=np.int64)
         bits = np.zeros(len(ebn0_grid), dtype=np.int64)
         for i, point in enumerate(ebn0_grid):
-            e, b = self.ber_point(
+            errors[i], bits[i] = self.ber_point(
                 spec, float(point), rng, integrator=integrator,
                 target_errors=target_errors, max_bits=max_bits,
                 min_bits=min_bits, chunk_bits=chunk_bits,
                 adaptive=adaptive)
-            errors[i] = e
-            bits[i] = b
-        confidence = (adaptive.confidence if adaptive is not None
-                      else 0.95)
-        bounds = np.array([wilson_interval(int(e), int(b), confidence)
-                           if b else (0.0, 1.0)
-                           for e, b in zip(errors, bits)])
         if label is None:
             resolved = self._integrator(spec, integrator, cosim=True)
             label = resolved if isinstance(resolved, str) \
                 else resolved.name
-        return BerResult(
-            ebn0_db=ebn0_grid, ber=errors / np.maximum(bits, 1),
-            errors=errors, bits=bits, label=label,
-            ci_low=bounds[:, 0] if len(bounds) else np.zeros(0),
-            ci_high=bounds[:, 1] if len(bounds) else np.zeros(0),
-            confidence=confidence)
+        return _curve_result(ebn0_grid, errors, bits, label, adaptive)
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,8 @@
 """Staged signal-path pipeline of the golden-model link simulation.
 
-The vectorized BER engine used to be one monolithic loop
-(``repro.uwb.fastsim._simulate_ber_point``): pulse train, channel,
-noise, band-pass, squarer, integrator and decision fused into a single
-function body.  That shape made the single-transmitter assumption
-structural - there was no seam where a second transmitter's waveform
-could enter the chunk.  This module is the refactor that opens that
-seam: the chunk computation becomes a :class:`SignalPipeline` of five
-composable stages operating on a batched :class:`LinkState`,
+The chunk computation of the vectorized BER engine is a
+:class:`SignalPipeline` of five composable stages operating on a
+batched :class:`LinkState`,
 
     :class:`TxStage` -> :class:`ChannelStage` -> :class:`CombineStage`
     -> :class:`AnalogFrontEndStage` -> :class:`DecisionStage`
@@ -17,30 +12,33 @@ which synthesizes and sums one waveform per :class:`InterfererPath`
 (relative amplitude, circular timing offset, optional independent
 channel realization) before the victim's AWGN is added.
 
-**Bit-identity contract.** With no interferers the pipeline performs
-exactly the arithmetic of the historic monolithic loop, on exactly the
-same generator draw order (victim bits, then noise), so fixed-seed
-error/bit counters are bit-for-bit identical to the pre-refactor
-engine - cached campaign results and the committed ``BENCH_*`` numbers
-stay valid (``tests/network/test_pipeline_parity.py`` pins this
-against a verbatim copy of the legacy loop).  With interferers, each
-interferer's bits are drawn from the same generator *between* the
-victim bits and the noise, in interferer order.
+**Scenario batch axis.** Every chunk carries a *scenario* axis: one
+:class:`LinkState` holds a whole family of operating points that share
+every draw (victim bits, interferer bits, the unit noise process) and
+differ only in their noise scale.  :meth:`SignalPipeline.run_chunk`
+takes the ``sigmas`` vector; the :class:`CombineStage` fans the shared
+chunk out into an ``(n_scenarios, n_samples)`` batch (``waveform +
+sigmas[:, None] * unit_noise``), and the downstream stages operate on
+the leading axis transparently.
 
-**Scenario batch axis.** Beyond the per-chunk symbol batching, the
-pipeline carries an optional *scenario* axis: one :class:`LinkState`
-can hold a whole family of operating points that share every draw
-(victim bits, interferer bits, the unit noise process) and differ only
-in their noise scale.  :meth:`SignalPipeline.run_chunk` takes a
-``sigmas`` vector to activate it - the :class:`CombineStage` then
-fans the shared chunk out into an ``(n_scenarios, n_samples)`` batch
-(``waveform + sigmas[:, None] * unit_noise``), and the downstream
-stages operate on the leading axis transparently.  Because
+**One Monte-Carlo loop.** :func:`run_ber_sweep` is the only chunk loop
+of the golden model: a single BER point is a 1x1 sweep, a curve a 1xM
+sweep and a multi-integrator campaign a KxM sweep (see
+:class:`repro.link.backends.FastsimBackend`).
+
+**Bit-identity contract.** With no interferers a 1x1 sweep performs
+exactly the arithmetic of the historic monolithic per-point loop on
+the same generator draw order (victim bits, then noise):
 ``rng.normal(0, sigma, n)`` draws ``sigma * standard_normal(n)``
-bitwise, scenario *i* of the batch is bit-identical to a per-point
-run at ``sigmas[i]`` from the same generator state - the invariant
-:func:`run_ber_sweep` builds the whole-curve sweep on (pinned by
-``tests/network/test_batched_sweep.py``).
+bitwise, so fixed-seed error/bit counters are bit-for-bit identical to
+it and cached campaign results and the committed ``BENCH_*`` numbers
+stay valid (``tests/network/test_pipeline_parity.py`` pins this
+against a verbatim copy of the legacy loop).  Every cell of a KxM
+sweep equals the 1x1 sweep of its (integrator, Eb/N0) pair from a
+freshly seeded generator (``tests/network/test_batched_sweep.py``).
+With interferers, each interferer's bits are drawn from the same
+generator *between* the victim bits and the noise, in interferer
+order.
 
 Stages are deliberately dependency-light (uwb building blocks only);
 :mod:`repro.link.backends` resolves :class:`~repro.link.spec.NetworkSpec`
@@ -64,7 +62,7 @@ from repro.uwb.integrator import WindowIntegrator
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fastsim
-    # imports this module lazily inside its point loop).
+    # imports this module lazily).
     from repro.uwb.fastsim import AdaptiveStopping
 
 
@@ -78,11 +76,11 @@ class LinkState:
     Attributes:
         n: symbols in this chunk.
         rng: the chunk's entropy source (bit draws and noise).
-        sigmas: optional per-scenario noise standard deviations.  When
-            set, the :class:`CombineStage` fans the shared chunk out
-            into an ``(n_scenarios, ...)`` batch - one row per noise
-            scale over identical bit/interferer/noise draws - and
-            every downstream field grows that leading axis.
+        sigmas: per-scenario noise standard deviations.  The
+            :class:`CombineStage` fans the shared chunk out into an
+            ``(n_scenarios, ...)`` batch - one row per noise scale over
+            identical bit/interferer/noise draws - and every downstream
+            field carries that leading axis.
         bits: victim payload bits (set by :class:`TxStage`; shared
             across scenario rows).
         waveform: clean waveform at the antenna reference plane -
@@ -90,21 +88,21 @@ class LinkState:
             interferers after :class:`CombineStage`.
         interferer_bits: payload bits drawn per interferer (diagnostic;
             the decision only grades the victim's bits).
-        noisy: waveform after AWGN (set by :class:`CombineStage`);
-            ``(n_scenarios, n_samples)`` in batched mode.
+        noisy: waveform after AWGN, ``(n_scenarios, n_samples)`` (set
+            by :class:`CombineStage`).
         squared: squarer output reshaped to
             ``(..., n, 2, samples_per_slot)`` (set by
             :class:`AnalogFrontEndStage`).
         slot_values: integrator outputs per slot, shape ``(..., n, 2)``,
             post-ADC when the pipeline quantizes (set by
             :class:`DecisionStage`).
-        decisions: larger-slot decisions, one int8 bit per symbol
-            (per scenario row in batched mode).
+        decisions: larger-slot decisions, one int8 bit per symbol and
+            scenario row.
     """
 
     n: int
     rng: np.random.Generator
-    sigmas: np.ndarray | None = None
+    sigmas: np.ndarray
     bits: np.ndarray | None = None
     waveform: np.ndarray | None = None
     interferer_bits: list[np.ndarray] = field(default_factory=list)
@@ -112,18 +110,6 @@ class LinkState:
     squared: np.ndarray | None = None
     slot_values: np.ndarray | None = None
     decisions: np.ndarray | None = None
-
-    def error_count(self) -> int:
-        """Victim bit errors decided in this chunk."""
-        if self.decisions is None or self.bits is None:
-            raise ValueError("chunk has not been decided yet")
-        return int(np.count_nonzero(self.decisions != self.bits))
-
-    def error_counts(self) -> np.ndarray:
-        """Victim bit errors per scenario row (batched mode)."""
-        if self.decisions is None or self.bits is None:
-            raise ValueError("chunk has not been decided yet")
-        return np.count_nonzero(self.decisions != self.bits, axis=-1)
 
 
 class Stage:
@@ -221,9 +207,10 @@ class CombineStage(Stage):
 
     Interferers are synthesized per chunk (fresh bits from the chunk's
     generator, in path order) and summed at their calibrated
-    amplitudes.  ``sigma`` is sized against the *victim's* pilot energy
-    - interference is extra disturbance on top of the thermal-noise
-    operating point, matching the standard SIR convention.
+    amplitudes.  The chunk's ``sigmas`` are sized against the
+    *victim's* pilot energy - interference is extra disturbance on top
+    of the thermal-noise operating point, matching the standard SIR
+    convention.
 
     With no interferers the victim waveform passes through untouched
     (not even an add of zero), preserving the single-link
@@ -231,37 +218,30 @@ class CombineStage(Stage):
     """
 
     config: UwbConfig
-    sigma: float
     interferers: tuple[InterfererPath, ...] = ()
     span_name = "link.combine"
 
     def __post_init__(self) -> None:
         self.interferers = tuple(self.interferers)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
 
     def process(self, state: LinkState) -> None:
         for path in self.interferers:
             state.waveform = state.waveform + path.synthesize(
                 state, self.config)
-        if state.sigmas is not None:
-            # Scenario batch: one shared unit-variance noise process,
-            # scaled per row.  ``rng.normal(0, sigma, n)`` draws
-            # ``sigma * standard_normal(n)`` bitwise, so row i equals
-            # a per-point run at sigmas[i] from this generator state.
-            # The scale and add land in one preallocated batch buffer
-            # (IEEE addition commutes bitwise, so += keeps the
-            # waveform + sigma*unit identity) - one less full-size
-            # temporary per chunk on the hottest allocation.
-            unit = state.rng.standard_normal(len(state.waveform))
-            noisy = np.multiply(
-                state.sigmas[:, None], unit[None, :],
-                out=np.empty((len(state.sigmas), unit.size)))
-            noisy += state.waveform
-            state.noisy = noisy
-        else:
-            state.noisy = state.waveform + state.rng.normal(
-                0.0, self.sigma, size=len(state.waveform))
+        # One shared unit-variance noise process, scaled per scenario
+        # row.  ``rng.normal(0, sigma, n)`` draws ``sigma *
+        # standard_normal(n)`` bitwise, so row i equals the historic
+        # per-point loop at sigmas[i] from this generator state.  The
+        # scale and add land in one preallocated batch buffer (IEEE
+        # addition commutes bitwise, so += keeps the waveform +
+        # sigma*unit identity) - one less full-size temporary per
+        # chunk on the hottest allocation.
+        unit = state.rng.standard_normal(len(state.waveform))
+        noisy = np.multiply(
+            state.sigmas[:, None], unit[None, :],
+            out=np.empty((len(state.sigmas), unit.size)))
+        noisy += state.waveform
+        state.noisy = noisy
 
 
 @dataclass
@@ -277,7 +257,7 @@ class AnalogFrontEndStage(Stage):
     def process(self, state: LinkState) -> None:
         cfg = self.config
         # Filtering, scaling and squaring act along the last (sample)
-        # axis, so the optional scenario batch axis passes through
+        # axis, so the scenario batch axis passes through
         # untouched: each row is processed exactly as a lone chunk.
         # The filter output is ours alone (sosfilt copies its input),
         # so drive scaling and squaring run in place - two fewer
@@ -329,24 +309,23 @@ class SignalPipeline:
             raise ValueError("pipeline needs at least one stage")
 
     def run_chunk(self, n: int, rng: np.random.Generator,
-                  sigmas: np.ndarray | None = None) -> LinkState:
+                  sigmas: np.ndarray) -> LinkState:
         """Push one fresh chunk of *n* symbols through every stage.
 
         Args:
-            sigmas: optional per-scenario noise standard deviations;
-                when given, the chunk fans out into a scenario batch
-                at the :class:`CombineStage` (one row per sigma over
-                shared draws) and the downstream state fields carry
-                the leading scenario axis.
+            sigmas: per-scenario noise standard deviations; the chunk
+                fans out into a scenario batch at the
+                :class:`CombineStage` (one row per sigma over shared
+                draws) and the downstream state fields carry the
+                leading scenario axis.
         """
         if n <= 0:
             raise ValueError("chunk size must be positive")
-        if sigmas is not None:
-            sigmas = np.asarray(sigmas, dtype=float)
-            if sigmas.ndim != 1:
-                raise ValueError("sigmas must be a 1-D vector")
-            if np.any(sigmas < 0):
-                raise ValueError("sigmas must be >= 0")
+        sigmas = np.asarray(sigmas, dtype=float)
+        if sigmas.ndim != 1:
+            raise ValueError("sigmas must be a 1-D vector")
+        if np.any(sigmas < 0):
+            raise ValueError("sigmas must be >= 0")
         state = LinkState(n=n, rng=rng, sigmas=sigmas)
         # Hot path: the disabled branch must stay the bare stage loop
         # (one module attribute load + one branch per chunk - pinned
@@ -366,68 +345,6 @@ class SignalPipeline:
             if isinstance(stage, kind):
                 return stage
         raise KeyError(f"no {kind.__name__} in pipeline")
-
-
-def build_link_pipeline(config: UwbConfig, *,
-                        integrator: WindowIntegrator,
-                        bpf: BandPassFilter,
-                        sigma: float,
-                        scale: float,
-                        channel: ChannelRealization | None = None,
-                        adc: Adc | None = None,
-                        interferers: Sequence[InterfererPath] = ()
-                        ) -> SignalPipeline:
-    """The canonical five-stage BER pipeline for one operating point.
-
-    Args:
-        config: link timing/sampling configuration.
-        integrator: resolved integrator model deciding slot energies.
-        bpf: receiver band-pass (pass the calibration pilot's filter so
-            noise sizing and the data path agree).
-        sigma: per-sample AWGN standard deviation at this Eb/N0.
-        scale: drive scaling mapping the clean filtered peak onto the
-            squarer operating point.
-        channel: victim multipath realization (``None`` = ideal link).
-        adc: optional converter in the decision path.
-        interferers: resolved interfering transmitters summed in at the
-            :class:`CombineStage`.
-    """
-    return SignalPipeline(stages=(
-        TxStage(config),
-        ChannelStage(config, channel),
-        CombineStage(config, sigma, tuple(interferers)),
-        AnalogFrontEndStage(config, bpf, scale),
-        DecisionStage(config, integrator, adc),
-    ))
-
-
-def run_ber_point(pipeline: SignalPipeline, rng: np.random.Generator, *,
-                  target_errors: int = 100,
-                  max_bits: int = 200_000,
-                  min_bits: int = 2_000,
-                  chunk_bits: int = 1_000,
-                  adaptive: "AdaptiveStopping | None" = None
-                  ) -> tuple[int, int]:
-    """Monte-Carlo chunk loop over *pipeline* (the historic stopping
-    rule, verbatim: hard ``target_errors`` / ``max_bits`` caps plus the
-    optional sequential :class:`~repro.uwb.fastsim.AdaptiveStopping`
-    early exit checked after each chunk past ``min_bits``).
-
-    Returns:
-        ``(errors, bits)`` counters.
-    """
-    errors = 0
-    bits_done = 0
-    while bits_done < max_bits and (errors < target_errors
-                                    or bits_done < min_bits):
-        if (adaptive is not None and bits_done >= min_bits
-                and adaptive.resolved(errors, bits_done)):
-            break
-        n = min(chunk_bits, max_bits - bits_done)
-        state = pipeline.run_chunk(n, rng)
-        errors += state.error_count()
-        bits_done += n
-    return errors, bits_done
 
 
 _PRIMED_BYTES = 0
@@ -473,12 +390,14 @@ def _prime_allocator(block_bytes: int, live_blocks: int = 4) -> None:
 def _cell_continues(errors: int, bits: int, bits_done: int, *,
                     target_errors: int, max_bits: int, min_bits: int,
                     adaptive: "AdaptiveStopping | None") -> bool:
-    """:func:`run_ber_point`'s stopping rule for one sweep cell,
-    verbatim: the hard-cap ``while`` condition first, then the
-    adaptive early exit.  A retired cell's counters freeze behind the
-    sweep's shared ``bits_done``, which keeps it retired (the rule is
-    monotone in frozen counters; the explicit check makes the
-    invariant unconditional)."""
+    """The Monte-Carlo stopping rule of one sweep cell: keep going
+    while under the hard ``max_bits`` cap and short of either
+    ``target_errors`` or ``min_bits``, unless the optional
+    :class:`~repro.uwb.fastsim.AdaptiveStopping` policy has resolved
+    the estimate past ``min_bits``.  A retired cell's counters freeze
+    behind the sweep's shared ``bits_done``, which keeps it retired
+    (the rule is monotone in frozen counters; the explicit check makes
+    the invariant unconditional)."""
     if bits != bits_done:
         return False
     if not (bits < max_bits and (errors < target_errors
@@ -512,16 +431,16 @@ def run_ber_sweep(front: SignalPipeline,
     **Seeding / sharing convention.**  All scenarios consume *one*
     generator: per chunk the driver draws the victim bits, each
     interferer's bits (in path order) and one unit-variance noise
-    vector - exactly the draw sequence of a single per-point run.
-    Scenario (decider k, sigma j) is therefore bit-identical to
-    ``run_ber_point`` over the equivalent per-point pipeline started
-    from the *same generator seed*: it sees the same bits, the same
-    interferers and the same noise process scaled by its own sigma.
+    vector - exactly the draw sequence of a single-point run.
+    Scenario (decider k, sigma j) is therefore bit-identical to the
+    1x1 sweep of that decider and sigma started from the *same
+    generator seed*: it sees the same bits, the same interferers and
+    the same noise process scaled by its own sigma.
 
-    **Retirement.**  Each cell follows :func:`run_ber_point`'s
-    stopping rule (hard ``target_errors`` / ``max_bits`` caps,
-    optional :class:`~repro.uwb.fastsim.AdaptiveStopping` early exit)
-    independently: a resolved cell simply stops accumulating while the
+    **Retirement.**  Each cell follows the stopping rule of
+    :func:`_cell_continues` (hard ``target_errors`` / ``max_bits``
+    caps, optional :class:`~repro.uwb.fastsim.AdaptiveStopping` early
+    exit) independently: a resolved cell simply stops accumulating while the
     shared draws continue for the survivors, so retiring a cell
     cannot perturb any other cell's stream.  Scenario rows with no
     active cell left are dropped from the batch arithmetic entirely.
@@ -584,12 +503,7 @@ def run_ber_sweep(front: SignalPipeline,
             # grades the shared batch directly (decide() is read-only).
             sub = (state.squared if len(cols) == len(rows)
                    else state.squared[np.searchsorted(rows, cols)])
-            if _trace.ENABLED:
-                with _trace.span(decider.span_name):
-                    _, decisions = decider.decide(sub)
-                    errors[k, cols] += np.count_nonzero(
-                        decisions != state.bits[None, :], axis=-1)
-            else:
+            with _trace.span(decider.span_name):
                 _, decisions = decider.decide(sub)
                 errors[k, cols] += np.count_nonzero(
                     decisions != state.bits[None, :], axis=-1)

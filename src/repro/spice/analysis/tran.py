@@ -98,7 +98,6 @@ class TransientStepper:
 
         self._refresh_caps()
         self.i_cap = np.zeros(len(self.c_val))
-        self.newton_iterations = 0
         self.steps_taken = 0
 
     # ------------------------------------------------------------------

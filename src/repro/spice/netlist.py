@@ -9,7 +9,6 @@ provided by :class:`Subckt`, which is flattened eagerly when instantiated
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -145,23 +144,6 @@ class Circuit:
                 self.devices[i] = normalized
                 return self
         raise NetlistError(f"no device named {device.name!r} to replace")
-
-    def validate(self) -> None:
-        """Deprecated shallow sanity check, absorbed by the lint engine.
-
-        .. deprecated::
-            Use :func:`repro.spice.lint.lint_circuit` for the full rule
-            set or :func:`repro.spice.lint.preflight_check` for the
-            error-level gate; this shim runs only the historic ground
-            check (rule ``SP-GND-001``).
-        """
-        warnings.warn(
-            "Circuit.validate is deprecated; use repro.spice.lint "
-            "(lint_circuit for reports, preflight_check for the "
-            "error-level gate)", DeprecationWarning, stacklevel=2)
-        from repro.spice.lint import preflight_check
-
-        preflight_check(self, rules=("SP-GND-001",))
 
     def __len__(self) -> int:
         return len(self.devices)

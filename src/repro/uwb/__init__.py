@@ -41,8 +41,6 @@ from repro.uwb.receiver import EnergyDetectionReceiver, ReceiverResult
 from repro.uwb.fastsim import (
     AdaptiveStopping,
     BerResult,
-    ber_curve,
-    simulate_ber_point,
     wilson_interval,
 )
 from repro.uwb.ranging import RangingResult, TwoWayRanging
@@ -68,7 +66,6 @@ __all__ = [
     "UwbConfig",
     "Vga",
     "WindowIntegrator",
-    "ber_curve",
     "fcc_indoor_mask_dbm_per_mhz",
     "gaussian_derivative",
     "ppm_waveform",
@@ -76,6 +73,5 @@ __all__ = [
     "pulse_psd",
     "random_bits",
     "sampled_pulse",
-    "simulate_ber_point",
     "wilson_interval",
 ]

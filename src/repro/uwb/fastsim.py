@@ -16,12 +16,17 @@ The signal chain per chunk of symbols:
 
 The chunk computation itself lives in the staged
 :mod:`repro.link.pipeline` (Tx -> Channel -> Combine -> AnalogFrontEnd
--> Decision); this module keeps the Monte-Carlo bookkeeping (stopping
-rules, Wilson intervals, curve assembly) and the pilot calibration.
-Multi-user scenarios enter through the ``interferers`` argument
-(resolved :class:`repro.link.pipeline.InterfererPath` values, normally
-produced from a :class:`repro.link.spec.NetworkSpec` by the fastsim
-backend).
+-> Decision), and its one Monte-Carlo loop is
+:func:`repro.link.pipeline.run_ber_sweep`; this module keeps the
+stopping policy, Wilson intervals, curve assembly, the pilot
+calibration and :func:`_ber_sweep`, which wires a configuration into
+that loop.  Every BER entry point of
+:class:`repro.link.backends.FastsimBackend` is one call of
+:func:`_ber_sweep`: a point is a 1x1 sweep, a curve a 1xM sweep and a
+multi-integrator campaign a KxM sweep.  Multi-user scenarios enter
+through the ``interferers`` argument (resolved
+:class:`repro.link.pipeline.InterfererPath` values, normally produced
+from a :class:`repro.link.spec.NetworkSpec` by the fastsim backend).
 
 Swapping the integrator model (ideal / two-pole / circuit surrogate)
 reproduces the paper's ideal-versus-ELDO BER comparison.
@@ -31,8 +36,7 @@ from __future__ import annotations
 
 import importlib
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +46,6 @@ from repro.uwb.bpf import BandPassFilter
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import ChannelRealization
 from repro.uwb.config import UwbConfig
-from repro.uwb.integrator import IdealIntegrator, WindowIntegrator
 from repro.uwb.modulation import ppm_waveform
 
 
@@ -59,7 +62,7 @@ _Z_FALLBACK = {0.95: 1.959963984540054}
 
 #: lazily-bound repro.link.pipeline module.  It cannot be imported at
 #: module top (repro.link.backends imports this module, so a top-level
-#: import of repro.link would cycle), and re-importing per BER point
+#: import of repro.link would cycle), and re-importing per sweep
 #: re-enters the import machinery for nothing - so the module object
 #: is resolved once and memoized here.
 _PIPELINE = None
@@ -132,7 +135,7 @@ def wilson_interval(errors: int, bits: int,
 class AdaptiveStopping:
     """Sequential stop-when-resolved policy for Monte-Carlo BER points.
 
-    The fixed stopping rule of :func:`simulate_ber_point`
+    The fixed stopping rule of the Monte-Carlo loop
     (``target_errors`` / ``max_bits``) wastes most of its symbol
     budget at deep SNR, where the error count never reaches the
     target.  This policy ends a point early once its estimate is
@@ -232,7 +235,7 @@ class _LinkCache:
         # Reference energy per bit and peak amplitude measured on a
         # noiseless filtered pilot (one pulse per bit -> Eb = pulse
         # energy after channel+filter).  The pilot goes through exactly
-        # the data-path processing of simulate_ber_point: the channel
+        # the data-path processing of the pipeline: the channel
         # output is trimmed by the propagation delay and truncated to
         # whole symbols, so delayed-channel energy landing outside the
         # symbol window is not counted toward Eb.
@@ -250,67 +253,6 @@ class _LinkCache:
             raise ValueError("degenerate link: zero received energy")
 
 
-def _simulate_ber_point(config: UwbConfig, integrator: WindowIntegrator,
-                        ebn0_db: float, rng: np.random.Generator, *,
-                        channel: ChannelRealization | None = None,
-                        bpf: BandPassFilter | None = None,
-                        squarer_drive: float = 0.05,
-                        adc: Adc | None = None,
-                        target_errors: int = 100,
-                        max_bits: int = 200_000,
-                        min_bits: int = 2_000,
-                        chunk_bits: int = 1_000,
-                        adaptive: AdaptiveStopping | None = None,
-                        interferers: tuple = (),
-                        _cache: _LinkCache | None = None
-                        ) -> tuple[int, int]:
-    """Monte-Carlo BER at one Eb/N0 point.
-
-    The chunk computation runs through the staged
-    :class:`repro.link.pipeline.SignalPipeline`; with no interferers
-    it is bit-identical to the historic monolithic loop (same
-    generator draw order, same arithmetic - see the pipeline module's
-    bit-identity contract).
-
-    Args:
-        config: link configuration (ideal synchronizer assumed).
-        integrator: integrator model deciding the slot energies.
-        ebn0_db: received Eb/N0 in dB.
-        channel: optional multipath realization (applied per chunk).
-        squarer_drive: peak voltage at the squarer *input*; the signal
-            is scaled so the clean filtered peak equals this value.
-            This is the AGC operating point: raising it beyond the
-            circuit's ~0.1 V linear input range exposes compression.
-        adc: optional ADC in the decision path.
-        target_errors / max_bits / min_bits: stopping rule.
-        chunk_bits: symbols per vectorized chunk.
-        adaptive: optional sequential policy ending the point as soon
-            as the estimate is resolved (checked after each chunk once
-            ``min_bits`` have been simulated); ``target_errors`` /
-            ``max_bits`` remain hard caps.
-        interferers: resolved
-            :class:`repro.link.pipeline.InterfererPath` transmitters
-            summed into the chunk before the noise (multi-user
-            scenarios; see ``FastsimBackend.ber_point`` over a
-            ``NetworkSpec``).
-
-    Returns:
-        ``(errors, bits)`` counters.
-    """
-    pipe = _link_pipeline()
-    config.validate()
-    cache = _cache or _LinkCache(config, channel, bpf)
-    sigma = noise_sigma_for_ebn0(cache.eb, ebn0_db, config.fs)
-    scale = squarer_drive / cache.peak
-    pipeline = pipe.build_link_pipeline(
-        config, integrator=integrator, bpf=cache.bpf, sigma=sigma,
-        scale=scale, channel=cache.channel, adc=adc,
-        interferers=tuple(interferers))
-    return pipe.run_ber_point(pipeline, rng, target_errors=target_errors,
-                              max_bits=max_bits, min_bits=min_bits,
-                              chunk_bits=chunk_bits, adaptive=adaptive)
-
-
 def _ber_sweep(config: UwbConfig, integrators, ebn0_grid,
                rng: np.random.Generator, *,
                channel: ChannelRealization | None = None,
@@ -325,17 +267,38 @@ def _ber_sweep(config: UwbConfig, integrators, ebn0_grid,
                interferers: tuple = (),
                _cache: _LinkCache | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Scenario-batched Monte-Carlo sweep: every Eb/N0 point of the
-    grid x every integrator variant in one chunk loop.
+    """Monte-Carlo BER sweep: every Eb/N0 point of the grid x every
+    integrator variant in one chunk loop.
 
     All scenarios share one generator and one front-end computation
     per chunk (the points of a curve differ only in their noise scale;
     integrator variants differ only past the squarer), so the whole
     sweep runs as a handful of large array ops.  Cell ``(k, j)`` is
-    bit-identical to ``_simulate_ber_point(config, integrators[k],
-    ebn0_grid[j], rng')`` with ``rng'`` freshly seeded like *rng* -
-    the per-run seeding convention under which draws are shared (see
-    :func:`repro.link.pipeline.run_ber_sweep`).
+    bit-identical to the 1x1 sweep ``_ber_sweep(config,
+    (integrators[k],), (ebn0_grid[j],), rng')`` with ``rng'`` freshly
+    seeded like *rng* - the per-run seeding convention under which
+    draws are shared (see :func:`repro.link.pipeline.run_ber_sweep`).
+
+    Args:
+        config: link configuration (ideal synchronizer assumed).
+        integrators: integrator models deciding the slot energies.
+        ebn0_grid: received Eb/N0 points in dB.
+        channel: optional multipath realization (applied per chunk).
+        squarer_drive: peak voltage at the squarer *input*; the signal
+            is scaled so the clean filtered peak equals this value.
+            This is the AGC operating point: raising it beyond the
+            circuit's ~0.1 V linear input range exposes compression.
+        adc: optional ADC in the decision path.
+        target_errors / max_bits / min_bits: stopping rule per cell.
+        chunk_bits: symbols per vectorized chunk.
+        adaptive: optional sequential policy ending a cell as soon as
+            its estimate is resolved (checked after each chunk once
+            ``min_bits`` have been simulated); ``target_errors`` /
+            ``max_bits`` remain hard caps.
+        interferers: resolved
+            :class:`repro.link.pipeline.InterfererPath` transmitters
+            summed into the chunk before the noise (multi-user
+            scenarios).
 
     Returns:
         ``(errors, bits)`` int64 arrays of shape
@@ -351,7 +314,7 @@ def _ber_sweep(config: UwbConfig, integrators, ebn0_grid,
     front = pipe.SignalPipeline(stages=(
         pipe.TxStage(config),
         pipe.ChannelStage(config, cache.channel),
-        pipe.CombineStage(config, 0.0, tuple(interferers)),
+        pipe.CombineStage(config, tuple(interferers)),
         pipe.AnalogFrontEndStage(config, cache.bpf, scale),
     ))
     deciders = [pipe.DecisionStage(config, integrator, adc)
@@ -376,123 +339,6 @@ def _curve_result(ebn0_grid: np.ndarray, errors: np.ndarray,
     return BerResult(ebn0_db=ebn0_grid, ber=ber, errors=errors,
                      bits=bits, label=label, ci_low=ci_low,
                      ci_high=ci_high, confidence=confidence)
-
-
-def _ber_curve(config: UwbConfig, integrator: WindowIntegrator,
-               ebn0_grid, rng: np.random.Generator, *,
-               channel: ChannelRealization | None = None,
-               bpf: BandPassFilter | None = None,
-               squarer_drive: float = 0.05,
-               adc: Adc | None = None,
-               target_errors: int = 100,
-               max_bits: int = 200_000,
-               min_bits: int = 2_000,
-               chunk_bits: int = 1_000,
-               label: str | None = None,
-               workers: int | None = None,
-               adaptive: AdaptiveStopping | None = None,
-               interferers: tuple = (),
-               batch_points: bool | None = None,
-               _cache: _LinkCache | None = None) -> BerResult:
-    """BER versus Eb/N0 for one integrator model (figure-6 workload).
-
-    Args:
-        workers: fan the Eb/N0 points out over this many processes.
-            Parallel execution gives each point its own stream spawned
-            deterministically from *rng*, so results are reproducible
-            for a given seed and worker-independent.
-        adaptive: optional per-point sequential stopping policy (see
-            :class:`AdaptiveStopping`); the returned Wilson bounds use
-            its confidence level.
-        interferers: resolved interfering transmitters forwarded to
-            every point (multi-user scenarios).
-        batch_points: ``True`` runs every point of the grid through
-            the scenario-batched sweep kernel (one shared generator,
-            one front-end computation per chunk; each point is
-            bit-identical to a per-point run freshly seeded like
-            *rng*).  ``False`` restores the legacy serial loop, which
-            walks the points sequentially on the single *rng* stream
-            (the pre-batching convention).  Default (``None``):
-            batched, unless ``workers > 1`` selected the spawned
-            process pool.
-    """
-    cache = _cache or _LinkCache(config, channel, bpf)
-    ebn0_grid = np.asarray(ebn0_grid, dtype=float)
-    errors = np.zeros(len(ebn0_grid), dtype=np.int64)
-    bits = np.zeros(len(ebn0_grid), dtype=np.int64)
-    use_pool = (workers is not None and workers > 1
-                and len(ebn0_grid) > 0 and batch_points is not True)
-    if batch_points is None:
-        batch_points = not use_pool
-    if use_pool:
-        from repro.core.scenario import Scenario, SweepRunner
-
-        runner = SweepRunner(processes=workers)
-        for point, child in zip(ebn0_grid, rng.spawn(len(ebn0_grid))):
-            runner.add(Scenario(
-                name=f"ebn0={point:g}dB", fn=_simulate_ber_point,
-                params=dict(config=config, integrator=integrator,
-                            ebn0_db=float(point), rng=child,
-                            channel=channel, bpf=bpf,
-                            squarer_drive=squarer_drive, adc=adc,
-                            target_errors=target_errors,
-                            max_bits=max_bits, min_bits=min_bits,
-                            chunk_bits=chunk_bits, adaptive=adaptive,
-                            interferers=interferers, _cache=cache)))
-        for i, result in enumerate(runner.run()):
-            errors[i], bits[i] = result.value
-    elif batch_points:
-        swept_errors, swept_bits = _ber_sweep(
-            config, (integrator,), ebn0_grid, rng,
-            squarer_drive=squarer_drive, adc=adc,
-            target_errors=target_errors, max_bits=max_bits,
-            min_bits=min_bits, chunk_bits=chunk_bits,
-            adaptive=adaptive, interferers=interferers, _cache=cache)
-        errors[:], bits[:] = swept_errors[0], swept_bits[0]
-    else:
-        for i, point in enumerate(ebn0_grid):
-            e, b = _simulate_ber_point(
-                config, integrator, float(point), rng, channel=channel,
-                bpf=bpf, squarer_drive=squarer_drive, adc=adc,
-                target_errors=target_errors, max_bits=max_bits,
-                min_bits=min_bits, chunk_bits=chunk_bits,
-                adaptive=adaptive,
-                interferers=interferers, _cache=cache)
-            errors[i] = e
-            bits[i] = b
-    return _curve_result(ebn0_grid, errors, bits,
-                         label or integrator.name, adaptive)
-
-
-def simulate_ber_point(*args, **kwargs) -> tuple[int, int]:
-    """Deprecated front door; see :func:`_simulate_ber_point` for the
-    signature.
-
-    .. deprecated::
-        Build a :class:`repro.link.LinkSpec` and call
-        ``FastsimBackend().ber_point(spec, ebn0_db, rng)`` (or the
-        campaign-friendly :func:`repro.link.ops.ber_point`) instead.
-    """
-    warnings.warn(
-        "repro.uwb.fastsim.simulate_ber_point is deprecated; go through "
-        "repro.link (LinkSpec + FastsimBackend.ber_point)",
-        DeprecationWarning, stacklevel=2)
-    return _simulate_ber_point(*args, **kwargs)
-
-
-def ber_curve(*args, **kwargs) -> BerResult:
-    """Deprecated front door; see :func:`_ber_curve` for the signature.
-
-    .. deprecated::
-        Build a :class:`repro.link.LinkSpec` and call
-        ``FastsimBackend().ber_curve(spec, grid, rng)`` (or the
-        campaign-friendly :func:`repro.link.ops.ber_curve`) instead.
-    """
-    warnings.warn(
-        "repro.uwb.fastsim.ber_curve is deprecated; go through "
-        "repro.link (LinkSpec + FastsimBackend.ber_curve)",
-        DeprecationWarning, stacklevel=2)
-    return _ber_curve(*args, **kwargs)
 
 
 #: memoized scipy.special.erfc (resolved on first use so the module

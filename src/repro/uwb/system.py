@@ -19,7 +19,6 @@ and what the Table-1 CPU benchmark measures.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -151,22 +150,6 @@ def _resolve_integrator(kind: str | WindowIntegrator
     return resolve_integrator(kind, cosim=True)
 
 
-def make_integrator(kind: str | WindowIntegrator,
-                    design: IntegrateDumpDesign | None = None
-                    ) -> WindowIntegrator | str:
-    """Deprecated string dispatch, absorbed by the link registry.
-
-    .. deprecated::
-        Use :func:`repro.link.registry.resolve_integrator` (or select
-        integrators by name in a :class:`repro.link.LinkSpec`).
-    """
-    warnings.warn(
-        "repro.uwb.system.make_integrator is deprecated; resolve "
-        "integrators through repro.link.registry.resolve_integrator",
-        DeprecationWarning, stacklevel=2)
-    return _resolve_integrator(kind)
-
-
 def build_ams_receiver(config: UwbConfig,
                        integrator: str | WindowIntegrator,
                        waveform: np.ndarray, *,
@@ -180,7 +163,30 @@ def build_ams_receiver(config: UwbConfig,
                        engine: str = "compiled",
                        preflight: bool = True,
                        ) -> tuple[Simulator, "_Harvest"]:
-    """Assemble the receiver testbench; see :func:`run_ams_receiver`."""
+    """Assemble the receiver testbench over *waveform*.
+
+    Args:
+        config: link configuration (sets the kernel dt = 1/fs).
+        integrator: ``"ideal"`` / ``"two_pole"`` / ``"surrogate"`` /
+            ``"circuit"`` or a model instance.
+        waveform: received waveform samples at ``config.fs`` (already
+            including noise/channel); it reaches the squarer through a
+            fixed-gain VGA.
+        gain: VGA gain (linear).
+        cosim_substeps: circuit-level steps per kernel step (Phase III).
+        record: attach a waveform recorder (rx, vga, squarer, integrator).
+        engine: kernel execution engine (``"compiled"`` vectorizes the
+            behavioral back ends between digital events; ``"reference"``
+            is the lock-step oracle; circuit co-simulation always runs
+            lock-step regardless).
+
+    Returns:
+        ``(simulator, harvest)``: run the simulator, then
+        ``harvest.result()`` gives the :class:`AmsRunResult`
+        (demodulated bits, per-slot ADC inputs, kernel CPU time).
+        :meth:`repro.link.KernelBackend.packet` is the spec-level
+        front door.
+    """
     config.validate()
     design = design or default_design()
     sim = Simulator(dt=config.dt, engine=engine)
@@ -292,63 +298,3 @@ class _Harvest:
                             cpu_time=self.sim.cpu_time,
                             steps=self.sim.steps,
                             recorder=self.recorder)
-
-
-def _run_ams_receiver(config: UwbConfig,
-                      integrator: str | WindowIntegrator,
-                      waveform: np.ndarray, *,
-                      gain: float = 1.0,
-                      design: IntegrateDumpDesign | None = None,
-                      adc: Adc | None = None,
-                      cosim_substeps: int = 1,
-                      record: bool = False,
-                      t_stop: float | None = None,
-                      engine: str = "compiled") -> AmsRunResult:
-    """Run the mixed-signal receiver over *waveform*.
-
-    Args:
-        config: link configuration (sets the kernel dt = 1/fs).
-        integrator: ``"ideal"`` / ``"two_pole"`` / ``"surrogate"`` /
-            ``"circuit"`` or a model instance.
-        waveform: received waveform samples at ``config.fs`` (already
-            including noise/channel); it reaches the squarer through a
-            fixed-gain VGA.
-        gain: VGA gain (linear).
-        cosim_substeps: circuit-level steps per kernel step (Phase III).
-        record: attach a waveform recorder (rx, vga, squarer, integrator).
-        t_stop: simulation span (default: the waveform duration rounded
-            down to whole symbols).
-        engine: kernel execution engine (``"compiled"`` vectorizes the
-            behavioral back ends between digital events; ``"reference"``
-            is the lock-step oracle; circuit co-simulation always runs
-            lock-step regardless).
-
-    Returns:
-        An :class:`AmsRunResult` with demodulated bits, per-slot ADC
-        inputs, and the kernel CPU time (Table-1 metric).
-    """
-    sim, harvest = build_ams_receiver(
-        config, integrator, waveform, gain=gain, design=design, adc=adc,
-        cosim_substeps=cosim_substeps, record=record, engine=engine)
-    if t_stop is None:
-        n_symbols = len(waveform) // config.samples_per_symbol
-        t_stop = n_symbols * config.symbol_period
-    sim.run(t_stop)
-    return harvest.result()
-
-
-def run_ams_receiver(*args, **kwargs) -> AmsRunResult:
-    """Deprecated front door; see :func:`_run_ams_receiver` for the
-    signature.
-
-    .. deprecated::
-        Build a :class:`repro.link.LinkSpec` and call
-        ``KernelBackend(engine=...).packet(spec, waveform)`` (or the
-        campaign-friendly :func:`repro.link.ops.run_testbench`).
-    """
-    warnings.warn(
-        "repro.uwb.system.run_ams_receiver is deprecated; go through "
-        "repro.link (LinkSpec + KernelBackend.packet / "
-        "repro.link.ops.run_testbench)",
-        DeprecationWarning, stacklevel=2)
-    return _run_ams_receiver(*args, **kwargs)

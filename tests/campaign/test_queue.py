@@ -32,7 +32,7 @@ def spec(experiment="table2", **kwargs):
 class TestJobSpec:
     def test_json_round_trip(self):
         original = spec(full=True, seed=3, processes=2, chunk_bits=64,
-                        batch_points=False, modules=("a", "b"))
+                        modules=("a", "b"))
         back = JobSpec.from_json(original.to_json())
         assert back == original
 

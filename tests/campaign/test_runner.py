@@ -238,22 +238,6 @@ class TestKeyParams:
         report = build(99).run()
         assert (report.executed, report.cached) == (0, 1)
 
-    def test_fig6_worker_count_does_not_move_the_key(self, tmp_path):
-        """Fan-out degree is an execution knob: fig6 campaigns with
-        workers=2 and workers=3 share cache entries; serial (spawn-free
-        seeding) does not."""
-        from repro.experiments import run_fig6
-
-        store = ResultStore(tmp_path, salt="s")
-        kwargs = dict(ebn0_grid=(6.0,), quick=True, store=store,
-                      batch_points=False)
-        run_fig6(workers=2, **kwargs)
-        assert store.misses == 2
-        a = run_fig6(workers=3, **kwargs)
-        assert store.misses == 2          # pure cache hits
-        b = run_fig6(workers=None, **kwargs)
-        assert store.misses == 4          # serial seeding differs
-
 
 class TestParallel:
     def test_parallel_campaign_caches(self, tmp_path):

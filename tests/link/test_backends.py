@@ -104,19 +104,19 @@ class TestBuilders:
 
 class TestFastsimBackend:
     def test_ber_point_matches_legacy_entry_point(self):
-        """The backend and the deprecated front door are the same
-        computation: identical seed, identical counters."""
-        from repro.uwb.fastsim import simulate_ber_point
+        """The backend point is the engine's 1x1 sweep over the
+        components the spec builds: identical seed, identical
+        counters."""
+        from repro.uwb.fastsim import _ber_sweep
 
         budget = dict(target_errors=20, max_bits=3000, min_bits=500)
         spec = SPEC.with_frontend(band=(1.0e9, 3.5e9))
         via_backend = FastsimBackend().ber_point(
             spec, 8.0, np.random.default_rng(5), **budget)
-        with pytest.deprecated_call():
-            legacy = simulate_ber_point(
-                FAST, IdealIntegrator(), 8.0, np.random.default_rng(5),
-                bpf=build_bpf(spec), **budget)
-        assert via_backend == legacy
+        errors, bits = _ber_sweep(
+            FAST, (IdealIntegrator(),), [8.0], np.random.default_rng(5),
+            bpf=build_bpf(spec), **budget)
+        assert via_backend == (errors[0, 0], bits[0, 0])
 
     def test_ber_curve_decreases_with_snr(self):
         curve = FastsimBackend().ber_curve(

@@ -1,16 +1,17 @@
 """Bit-identity of the scenario-batched sweep engine.
 
-The batched kernel (``repro.link.pipeline.run_ber_sweep``) runs every
+The sweep engine (``repro.link.pipeline.run_ber_sweep``) runs every
 (integrator, Eb/N0) cell of a campaign from one shared entropy stream:
 victim bits, interferer bits and the unit noise wave are drawn once per
 chunk and only the noise *scale* differs per scenario row.  Under the
 repository's per-run seeding convention - every BER point starts from
-a generator freshly seeded with the run seed - that is exactly what
-the per-point loop already computes, so cell ``(k, j)`` must equal
-``_simulate_ber_point(config, integrators[k], grid[j], fresh_rng)``
-**bit for bit**, in both fixed-n and adaptive modes, with and without
-interferers.  Cached campaign results and the committed BENCH
-artifacts are only valid if these tests hold.
+a generator freshly seeded with the run seed - cell ``(k, j)`` of a KxM
+sweep must equal the 1x1 sweep ``FastsimBackend.ber_point(spec,
+grid[j], fresh_rng, integrator=integrators[k])`` **bit for bit**, in
+both fixed-n and adaptive modes, with and without interferers (the
+1x1 sweep itself is pinned against the historic per-point loop by
+``test_pipeline_parity.py``).  Cached campaign results and the
+committed BENCH artifacts are only valid if these tests hold.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from repro.link.backends import (
 from repro.link.pipeline import run_ber_sweep
 from repro.link.spec import ChannelSpec, FrontEndSpec, InterfererSpec
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.fastsim import AdaptiveStopping, _simulate_ber_point
+from repro.uwb.fastsim import AdaptiveStopping
 from repro.uwb.integrator import IdealIntegrator
 from repro.uwb.modulation import ppm_positions, ppm_waveform
 from repro.uwb.pulse import sampled_pulse
@@ -44,8 +45,8 @@ GRID = (2.0, 6.0, 10.0, 14.0)
 
 def _pointwise(spec, grid, seed, integrator=None, adaptive=None,
                **budget):
-    """The per-point oracle: each point from its own freshly seeded
-    generator (the sharing convention the batched kernel exploits)."""
+    """The 1x1 oracle: each point from its own freshly seeded
+    generator (the sharing convention the sweep engine exploits)."""
     backend = FastsimBackend()
     return [backend.ber_point(spec, p, np.random.default_rng(seed),
                               integrator=integrator, adaptive=adaptive,
@@ -59,7 +60,7 @@ class TestCurveParity:
                              ids=["fixed-n", "adaptive"])
     def test_fig6_grid_matches_pointwise(self, adaptive):
         curve = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(7), batch_points=True,
+            SPEC, GRID, np.random.default_rng(7),
             adaptive=adaptive, **BUDGET)
         expected = _pointwise(SPEC, GRID, 7, adaptive=adaptive,
                               **BUDGET)
@@ -70,8 +71,7 @@ class TestCurveParity:
         spec = LinkSpec(config=TEST_CONFIG,
                         channel=ChannelSpec(kind="cm1", distance=3.0))
         curve = FastsimBackend().ber_curve(
-            spec, GRID[:2], np.random.default_rng(3),
-            batch_points=True, **BUDGET)
+            spec, GRID[:2], np.random.default_rng(3), **BUDGET)
         expected = _pointwise(spec, GRID[:2], 3, **BUDGET)
         assert list(zip(curve.errors.tolist(),
                         curve.bits.tolist())) == expected
@@ -90,28 +90,18 @@ class TestCurveParity:
                                timing_offset=0.41 * slot)))
         curve = ops.mui_ber_curve(
             network, GRID[:3], np.random.default_rng(11),
-            batch_points=True, adaptive=adaptive, **BUDGET)
+            adaptive=adaptive, **BUDGET)
         expected = _pointwise(network, GRID[:3], 11,
                               adaptive=adaptive, **BUDGET)
         assert list(zip(curve.errors.tolist(),
                         curve.bits.tolist())) == expected
 
-    def test_batched_default_when_serial(self):
-        """``batch_points=None`` selects the batched kernel unless a
-        worker pool was requested."""
-        a = FastsimBackend().ber_curve(
-            SPEC, GRID[:2], np.random.default_rng(7), **BUDGET)
-        b = FastsimBackend().ber_curve(
-            SPEC, GRID[:2], np.random.default_rng(7),
-            batch_points=True, **BUDGET)
-        assert np.array_equal(a.errors, b.errors)
-        assert np.array_equal(a.bits, b.bits)
-
 
 class TestMultiIntegratorSweep:
     def test_sweep_matches_standalone_curves(self):
-        """One sweep over two integrators == two standalone batched
-        curves: the shared front end changes nothing."""
+        """One sweep over two integrators == two standalone curves ==
+        every cell's 1x1 sweep: the shared front end changes
+        nothing."""
         sweep = FastsimBackend().sweep(
             SPEC, GRID, np.random.default_rng(7),
             integrators=("ideal", "circuit"), **BUDGET)
@@ -119,25 +109,17 @@ class TestMultiIntegratorSweep:
         for name in ("ideal", "circuit"):
             solo = FastsimBackend().ber_curve(
                 SPEC, GRID, np.random.default_rng(7), integrator=name,
-                batch_points=True, **BUDGET)
+                **BUDGET)
             assert np.array_equal(sweep[name].errors, solo.errors)
             assert np.array_equal(sweep[name].bits, solo.bits)
+            assert list(zip(sweep[name].errors.tolist(),
+                            sweep[name].bits.tolist())) == _pointwise(
+                SPEC, GRID, 7, integrator=name, **BUDGET)
 
     def test_ops_ber_sweep_rejects_sweepless_backend(self):
         with pytest.raises(TypeError, match="no batched sweep"):
             ops.ber_sweep(SPEC, GRID, np.random.default_rng(7),
                           backend="kernel")
-
-    def test_kernel_curve_rejects_batch_points(self):
-        from repro.link import KernelBackend
-
-        with pytest.raises(ValueError, match="no batched sweep"):
-            KernelBackend().ber_curve(SPEC, GRID,
-                                      np.random.default_rng(7),
-                                      batch_points=True)
-        # falsy values are accepted silently (ops forwards False).
-        KernelBackend().ber_curve(SPEC, (), np.random.default_rng(7),
-                                  batch_points=False)
 
     def test_sweep_label_validation(self):
         with pytest.raises(ValueError, match="labels"):
@@ -157,7 +139,7 @@ class TestRetirement:
         (which never saw the retired scenarios at all)."""
         adaptive = AdaptiveStopping(ber_floor=1e-2)
         curve = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(13), batch_points=True,
+            SPEC, GRID, np.random.default_rng(13),
             adaptive=adaptive, **BUDGET)
         standalone = _pointwise(SPEC, GRID, 13, adaptive=adaptive,
                                 **BUDGET)
@@ -173,11 +155,9 @@ class TestRetirement:
         survivors: a sweep over a sub-grid equals the matching rows of
         the full-grid sweep."""
         full = FastsimBackend().ber_curve(
-            SPEC, GRID, np.random.default_rng(7), batch_points=True,
-            **BUDGET)
+            SPEC, GRID, np.random.default_rng(7), **BUDGET)
         sub = FastsimBackend().ber_curve(
-            SPEC, GRID[1:3], np.random.default_rng(7),
-            batch_points=True, **BUDGET)
+            SPEC, GRID[1:3], np.random.default_rng(7), **BUDGET)
         assert np.array_equal(sub.errors, full.errors[1:3])
         assert np.array_equal(sub.bits, full.bits[1:3])
 
@@ -191,7 +171,7 @@ class TestValidation:
         front = pipe.SignalPipeline(stages=(
             pipe.TxStage(TEST_CONFIG),
             pipe.ChannelStage(TEST_CONFIG, None),
-            pipe.CombineStage(TEST_CONFIG, 0.0, ()),
+            pipe.CombineStage(TEST_CONFIG, ()),
             pipe.AnalogFrontEndStage(TEST_CONFIG, cache.bpf, 1.0)))
         return front, pipe.DecisionStage(TEST_CONFIG,
                                          IdealIntegrator(), None)
@@ -227,9 +207,8 @@ class TestValidation:
         for bad in ("0", "-3", "many"):
             with pytest.raises(SystemExit):
                 parser.parse_args(["run", "fig6", "--chunk-bits", bad])
-        args = parser.parse_args(["run", "fig6", "--chunk-bits", "250",
-                                  "--no-batch-points"])
-        assert args.chunk_bits == 250 and args.batch_points is False
+        args = parser.parse_args(["run", "fig6", "--chunk-bits", "250"])
+        assert args.chunk_bits == 250
         capsys.readouterr()
 
 

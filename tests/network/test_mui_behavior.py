@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.link import (
+    AnalogFrontEndStage,
+    ChannelStage,
     CombineStage,
     FastsimBackend,
     InterfererPath,
@@ -17,14 +19,14 @@ from repro.link import (
     KernelBackend,
     LinkSpec,
     NetworkSpec,
+    SignalPipeline,
+    TxStage,
     build_interferer_paths,
-    build_link_pipeline,
     calibrate,
     ops,
 )
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.fastsim import BerResult
-from repro.uwb.integrator import IdealIntegrator
 from repro.uwb.modulation import ppm_waveform, random_bits
 
 BUDGET = dict(target_errors=100, max_bits=8_000, min_bits=4_000)
@@ -110,6 +112,14 @@ class TestInterferenceBehavior:
                                   victim_real.taps)
 
 
+def _front(cfg, interferers=()):
+    """Tx -> Channel -> Combine -> AFE on an ideal link."""
+    return SignalPipeline(stages=(
+        TxStage(cfg), ChannelStage(cfg), CombineStage(cfg, interferers),
+        AnalogFrontEndStage(cfg, calibrate(LinkSpec(config=cfg)).bpf,
+                            1.0)))
+
+
 class TestCombineStage:
     def test_sums_scaled_rolled_interferers(self):
         """The combined waveform is victim + sum(amp * roll(intf))
@@ -117,11 +127,9 @@ class TestCombineStage:
         cfg = TEST_CONFIG
         n = 16
         path = InterfererPath(amplitude=0.5, offset_samples=37)
-        pipeline = build_link_pipeline(
-            cfg, integrator=IdealIntegrator(),
-            bpf=calibrate(LinkSpec(config=cfg)).bpf,
-            sigma=0.0, scale=1.0, interferers=(path,))
-        state = pipeline.run_chunk(n, np.random.default_rng(77))
+        pipeline = _front(cfg, interferers=(path,))
+        state = pipeline.run_chunk(n, np.random.default_rng(77),
+                                   sigmas=[0.0])
 
         replay = np.random.default_rng(77)
         victim_bits = random_bits(n, replay)
@@ -132,15 +140,16 @@ class TestCombineStage:
         assert np.array_equal(state.interferer_bits[0], intf_bits)
         assert np.array_equal(state.waveform, expected)
         # sigma=0: the noise draw adds nothing.
-        np.testing.assert_allclose(state.noisy, expected)
+        np.testing.assert_allclose(state.noisy, expected[None, :])
 
     def test_zero_interferers_leave_waveform_untouched(self):
-        stage = CombineStage(TEST_CONFIG, sigma=0.0)
+        stage = CombineStage(TEST_CONFIG)
         assert stage.interferers == ()
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
-            CombineStage(TEST_CONFIG, sigma=-1.0)
+            _front(TEST_CONFIG).run_chunk(8, np.random.default_rng(1),
+                                          sigmas=[0.1, -1.0])
 
 
 class TestBackendSurface:
@@ -173,28 +182,3 @@ class TestBackendSurface:
     def test_ops_mui_rejects_plain_link(self):
         with pytest.raises(TypeError, match="NetworkSpec"):
             ops.mui_ber_curve(SPEC, (8.0,), np.random.default_rng(1))
-
-    def test_curve_workers_consistent_with_serial_spawning(self):
-        """The network curve honors the spawned-stream seeding
-        contract: workers>1 equals the spawned serial execution."""
-        network = NetworkSpec(victim=SPEC, interferers=(
-            InterfererSpec(rel_power_db=0.0,
-                           timing_offset=_offset(0.3)),))
-        backend = FastsimBackend()
-        kwargs = dict(target_errors=30, max_bits=2_000, min_bits=1_000)
-        parallel = backend.ber_curve(network, (6.0, 10.0),
-                                     np.random.default_rng(3),
-                                     workers=2, **kwargs)
-        # Serial spawned replay: one child stream per point.
-        from repro.link import build_interferer_paths
-        from repro.uwb.fastsim import _simulate_ber_point
-
-        rng = np.random.default_rng(3)
-        paths = build_interferer_paths(network)
-        cache = calibrate(SPEC)
-        for i, (point, child) in enumerate(zip((6.0, 10.0),
-                                               rng.spawn(2))):
-            e, b = _simulate_ber_point(
-                TEST_CONFIG, IdealIntegrator(), point, child,
-                interferers=paths, _cache=cache, **kwargs)
-            assert (parallel.errors[i], parallel.bits[i]) == (e, b)

@@ -1,26 +1,27 @@
-"""Bit-identity of the staged pipeline against the pre-refactor loop.
+"""Bit-identity of the staged sweep engine against the historic loop.
 
-The staged ``repro.link.pipeline`` replaced the monolithic chunk loop
-inside ``_simulate_ber_point``; cached campaign results and committed
-BENCH artifacts are only valid if the refactor changed *nothing* about
-the numbers.  ``_legacy_simulate_ber_point`` below is a verbatim copy
-of the pre-refactor loop (PR 3 state); every test asserts exact
-equality of the ``(errors, bits)`` counters at fixed seeds.
+A BER point of the golden model is a 1x1 run of the staged sweep
+engine (``repro.link.pipeline.run_ber_sweep``), which replaced the
+monolithic per-point chunk loop; cached campaign results and committed
+BENCH artifacts are only valid if that changed *nothing* about the
+numbers.  ``_legacy_simulate_ber_point`` below is a verbatim copy of
+the pre-refactor loop; every test asserts exact equality of
+``FastsimBackend.ber_point``'s ``(errors, bits)`` counters with it at
+fixed seeds.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.link import FastsimBackend, LinkSpec, NetworkSpec
+from repro.link.spec import ChannelSpec, FrontEndSpec
 from repro.uwb.adc import Adc
 from repro.uwb.channel.awgn import noise_sigma_for_ebn0
 from repro.uwb.channel.ieee802154a import Cm1Channel
 from repro.uwb.config import TEST_CONFIG
-from repro.uwb.fastsim import (
-    AdaptiveStopping,
-    _LinkCache,
-    _simulate_ber_point,
-)
+from repro.uwb.fastsim import AdaptiveStopping, _LinkCache
 from repro.uwb.integrator import (
     CircuitSurrogateIntegrator,
     IdealIntegrator,
@@ -82,6 +83,12 @@ BUDGET = dict(target_errors=40, max_bits=4_000, min_bits=1_000,
               chunk_bits=500)
 
 
+def _point(spec, integrator, ebn0, seed, **budget):
+    return FastsimBackend().ber_point(spec, ebn0,
+                                      np.random.default_rng(seed),
+                                      integrator=integrator, **budget)
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("integrator_cls", _integrators())
     @pytest.mark.parametrize("with_adc", [False, True],
@@ -90,39 +97,45 @@ class TestBitIdentity:
                              ids=["awgn", "cm1"])
     def test_counters_match_legacy(self, integrator_cls, with_adc,
                                    with_cm1):
-        config = TEST_CONFIG
+        # The spec selects exactly the oracle's components: the CM1
+        # realization seeded 42 at 3 m, a 5-bit ADC at 10 mV.
+        config = dataclasses.replace(TEST_CONFIG, adc_bits=5,
+                                     adc_vref=0.01)
+        spec = LinkSpec(config=config, frontend=FrontEndSpec(
+            adc="config" if with_adc else "auto"))
         integrator = integrator_cls()
         channel = None
         if with_cm1:
+            spec = spec.with_(channel=ChannelSpec(
+                kind="cm1", distance=3.0, realization_seed=42))
             channel = Cm1Channel(config.fs).realize(
                 3.0, np.random.default_rng(42))
         adc = Adc(bits=5, vref=0.01) if with_adc else None
         for ebn0 in (4.0, 10.0):
             legacy = _legacy_simulate_ber_point(
                 config, integrator, ebn0, np.random.default_rng(7),
-                channel=channel, adc=adc, **BUDGET)
-            staged = _simulate_ber_point(
-                config, integrator, ebn0, np.random.default_rng(7),
-                channel=channel, adc=adc, **BUDGET)
+                channel=channel, adc=adc,
+                squarer_drive=spec.frontend.squarer_drive, **BUDGET)
+            staged = _point(spec, integrator, ebn0, 7, **BUDGET)
             assert staged == legacy
 
     @pytest.mark.parametrize("ber_floor", [0.0, 1e-2])
     def test_adaptive_stopping_path_matches(self, ber_floor):
         """The adaptive early-exit decisions (and therefore the bit
         totals) are preserved chunk for chunk."""
-        config = TEST_CONFIG
+        spec = LinkSpec(config=TEST_CONFIG)
         adaptive = AdaptiveStopping(ber_floor=ber_floor)
         legacy = _legacy_simulate_ber_point(
-            config, IdealIntegrator(), 12.0, np.random.default_rng(3),
-            adaptive=adaptive, **BUDGET)
-        staged = _simulate_ber_point(
-            config, IdealIntegrator(), 12.0, np.random.default_rng(3),
-            adaptive=adaptive, **BUDGET)
+            TEST_CONFIG, IdealIntegrator(), 12.0,
+            np.random.default_rng(3), adaptive=adaptive,
+            squarer_drive=spec.frontend.squarer_drive, **BUDGET)
+        staged = _point(spec, IdealIntegrator(), 12.0, 3,
+                        adaptive=adaptive, **BUDGET)
         assert staged == legacy
 
     def test_backend_point_matches_legacy(self):
         """Spec-level entry: FastsimBackend.ber_point is the legacy
-        loop for a plain LinkSpec."""
+        loop for a plain LinkSpec and its registry integrator."""
         spec = LinkSpec(config=TEST_CONFIG)
         staged = FastsimBackend().ber_point(
             spec, 8.0, np.random.default_rng(11), **BUDGET)
@@ -144,23 +157,19 @@ class TestBitIdentity:
         assert network == plain
 
     def test_curve_matches_legacy_pointwise(self):
-        """The serial curve draws every point from one stream, exactly
-        as before the refactor."""
+        """Every point of a curve is the legacy loop started from a
+        generator seeded like the curve's (the sweep's shared-draw
+        convention)."""
         config = TEST_CONFIG
         grid = (4.0, 8.0, 12.0)
-        rng = np.random.default_rng(13)
-        # The curve path keeps the point loop's default chunk size, so
-        # the oracle must too (chunk_bits is not a curve knob).
-        point_budget = {k: v for k, v in BUDGET.items()
-                        if k != "chunk_bits"}
-        expected = []
         cache = _LinkCache(config, None, None)
-        for point in grid:
-            expected.append(_legacy_simulate_ber_point(
-                config, IdealIntegrator(), point, rng,
-                _cache=cache, **point_budget))
+        expected = [_legacy_simulate_ber_point(
+                        config, IdealIntegrator(), point,
+                        np.random.default_rng(13), _cache=cache,
+                        **BUDGET)
+                    for point in grid]
         curve = FastsimBackend().ber_curve(
             LinkSpec(config=config), grid, np.random.default_rng(13),
-            batch_points=False, **point_budget)
+            **BUDGET)
         got = list(zip(curve.errors.tolist(), curve.bits.tolist()))
         assert got == expected

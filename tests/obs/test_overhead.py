@@ -12,17 +12,30 @@ Two acceptance properties of repro.obs:
   path, not a corner of it.
 """
 
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from repro.experiments import run_fig6
-from repro.link import LinkSpec, build_link_pipeline, calibrate
+from repro.link import (
+    AnalogFrontEndStage,
+    ChannelStage,
+    CombineStage,
+    DecisionStage,
+    LinkSpec,
+    SignalPipeline,
+    TxStage,
+    calibrate,
+)
 from repro.link.pipeline import LinkState
 from repro.obs import trace
 from repro.uwb.config import TEST_CONFIG
 from repro.uwb.integrator import IdealIntegrator
+
+#: the scenario rows of the measured chunks (two Eb/N0 points).
+SIGMAS = np.array([0.2, 0.4])
 
 
 @pytest.fixture(autouse=True)
@@ -35,61 +48,74 @@ def _tracing_disabled():
 
 
 def _pipeline():
-    cache = calibrate(LinkSpec(config=TEST_CONFIG))
-    return build_link_pipeline(
-        TEST_CONFIG, integrator=IdealIntegrator(), bpf=cache.bpf,
-        sigma=0.4, scale=1.0)
+    cfg = TEST_CONFIG
+    cache = calibrate(LinkSpec(config=cfg))
+    return SignalPipeline(stages=(
+        TxStage(cfg), ChannelStage(cfg), CombineStage(cfg),
+        AnalogFrontEndStage(cfg, cache.bpf, 1.0),
+        DecisionStage(cfg, IdealIntegrator())))
 
 
-def _bare_chunk(pipeline, n, rng):
+def _bare_chunk(pipeline, n, rng, sigmas):
     """The uninstrumented chunk loop: exactly ``run_chunk`` minus the
     ``trace.ENABLED`` dual-path (the overhead being measured)."""
-    state = LinkState(n=n, rng=rng, sigmas=None)
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 1 or np.any(sigmas < 0):
+        raise ValueError("bad sigmas")
+    state = LinkState(n=n, rng=rng, sigmas=sigmas)
     for stage in pipeline.stages:
         stage.process(state)
     return state
 
 
-def _best_of(fn, repeats, chunks, n, pipeline):
-    """Min wall over *repeats* timed runs of *chunks* chunks each.
+def _instrumented_chunk(pipeline, n, rng, sigmas):
+    return pipeline.run_chunk(n, rng, sigmas=sigmas)
 
-    The min filters scheduler noise; identical per-run seeding keeps
-    the arithmetic identical between the two variants."""
-    best = float("inf")
-    for rep in range(repeats):
-        rng = np.random.default_rng(1234 + rep)
-        start = time.perf_counter()
-        for _ in range(chunks):
-            fn(pipeline, n, rng)
-        best = min(best, time.perf_counter() - start)
-    return best
+
+def _timed(fn, pipeline, n, seed):
+    """Wall of one chunk from a generator seeded *seed* (the same seed
+    for both variants keeps their arithmetic identical)."""
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    fn(pipeline, n, rng, SIGMAS)
+    return time.perf_counter() - start
 
 
 class TestDisabledOverhead:
     def test_disabled_chunk_loop_overhead_under_2_percent(self):
         """The pinned microbenchmark: ``run_chunk`` with tracing
-        disabled vs the bare stage loop, interleaved best-of-k."""
+        disabled vs the bare stage loop, as the median of per-pair
+        ratios over interleaved bare/instrumented samples."""
         assert not trace.ENABLED
         pipeline = _pipeline()
-        n, chunks, repeats = 400, 4, 5
+        n, pairs = 400, 60
         # Warm both paths (filter design, allocator, caches).
-        _bare_chunk(pipeline, n, np.random.default_rng(0))
-        pipeline.run_chunk(n, np.random.default_rng(0))
-        bare = _best_of(_bare_chunk, repeats, chunks, n, pipeline)
-        instrumented = _best_of(
-            lambda p, n_, rng: p.run_chunk(n_, rng),
-            repeats, chunks, n, pipeline)
+        _timed(_bare_chunk, pipeline, n, 0)
+        _timed(_instrumented_chunk, pipeline, n, 0)
+        ratios = []
+        for i in range(pairs):
+            # bare, instrumented, instrumented, bare: a drift of the
+            # machine's speed that is linear over the four samples,
+            # and any first-or-second effect, loads both sides alike.
+            # Short samples (one ~10 ms chunk each) keep each quad
+            # inside the tens of ms over which the speed wanders.
+            bare = _timed(_bare_chunk, pipeline, n, i)
+            inst = _timed(_instrumented_chunk, pipeline, n, i)
+            inst += _timed(_instrumented_chunk, pipeline, n, i)
+            bare += _timed(_bare_chunk, pipeline, n, i)
+            ratios.append(inst / bare)
         # One attribute load + one branch per chunk against ~ms of
-        # numpy work; 2% relative with a 100 us jitter floor so the
-        # assert pins the contract without flaking on a busy box.
-        budget = max(bare * 1.02, bare + 100e-6)
-        assert instrumented <= budget, (
-            f"disabled-tracing chunk loop cost {instrumented * 1e3:.3f} ms "
-            f"vs bare {bare * 1e3:.3f} ms (budget {budget * 1e3:.3f} ms)")
+        # numpy work: the median pair sits far inside the 2% bound,
+        # and a few noisy pairs cannot move the median.
+        ratio = statistics.median(ratios)
+        assert ratio <= 1.02, (
+            f"disabled-tracing chunk loop costs {100 * (ratio - 1):.2f}% "
+            f"over the bare loop (median of {pairs} paired ratios; "
+            f"bound 2%)")
 
     def test_disabled_run_records_no_spans(self):
         pipeline = _pipeline()
-        pipeline.run_chunk(64, np.random.default_rng(3))
+        pipeline.run_chunk(64, np.random.default_rng(3), sigmas=SIGMAS)
         assert trace.current_root().children == {}
 
 

@@ -6,6 +6,7 @@ from repro.spice import Circuit, Resistor, Subckt, VoltageSource
 from repro.spice.devices import Capacitor, Mosfet
 from repro.spice.errors import NetlistError
 from repro.spice.library import generic_018
+from repro.spice.lint import preflight_check
 from repro.spice.netlist import is_ground, normalize_node
 
 
@@ -67,19 +68,16 @@ class TestCircuit:
             ckt.replace_device(Resistor("r9", "a", "0", 2.0))
 
     def test_validate_requires_ground(self):
-        # validate() is now a deprecation shim over the lint engine's
-        # ground rule; it must still raise, and must warn.
+        # The lint engine's ground rule is the circuit-level check.
         ckt = Circuit("t")
         ckt.add(Resistor("r1", "a", "b", 1.0))
-        with pytest.warns(DeprecationWarning, match="lint"):
-            with pytest.raises(NetlistError):
-                ckt.validate()
+        with pytest.raises(NetlistError):
+            preflight_check(ckt, rules=("SP-GND-001",))
 
-    def test_validate_shim_passes_grounded(self):
+    def test_ground_rule_passes_grounded(self):
         ckt = Circuit("t")
         ckt.add(Resistor("r1", "a", "0", 1.0))
-        with pytest.warns(DeprecationWarning):
-            ckt.validate()
+        preflight_check(ckt, rules=("SP-GND-001",))
 
     def test_model_conflict(self):
         cards = generic_018()

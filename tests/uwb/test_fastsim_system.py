@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.uwb import ChannelRealization, UwbConfig, ber_curve, \
-    simulate_ber_point
+from repro.link import FastsimBackend, KernelBackend, LinkSpec, \
+    resolve_integrator
+from repro.uwb import ChannelRealization, UwbConfig
 from repro.uwb.bpf import BandPassFilter
 from repro.uwb.fastsim import _LinkCache, theoretical_ppm_awgn_ber
 from repro.uwb.integrator import (
@@ -13,57 +14,55 @@ from repro.uwb.integrator import (
     TwoPoleIntegrator,
 )
 from repro.uwb.modulation import ppm_waveform, random_bits
-from repro.uwb.system import make_integrator, run_ams_receiver
 
 FAST = UwbConfig(fs=8e9, symbol_period=16e-9, pulse_tau=0.225e-9,
                  pulse_order=5, integration_window=2e-9)
+SPEC = LinkSpec(config=FAST)
+
+
+def ber_point(ebn0_db, seed, integrator=None, spec=SPEC, **budget):
+    return FastsimBackend().ber_point(spec, ebn0_db,
+                                      np.random.default_rng(seed),
+                                      integrator=integrator, **budget)
 
 
 class TestFastsim:
     def test_ber_decreases_with_snr(self):
-        res = ber_curve(FAST, IdealIntegrator(), [2.0, 8.0, 14.0],
-                        np.random.default_rng(3),
-                        target_errors=40, max_bits=8000, min_bits=800)
+        res = FastsimBackend().ber_curve(
+            SPEC, [2.0, 8.0, 14.0], np.random.default_rng(3),
+            target_errors=40, max_bits=8000, min_bits=800)
         assert res.ber[0] > res.ber[1] > res.ber[2]
 
     def test_high_snr_nearly_clean(self):
-        errors, bits = simulate_ber_point(
-            FAST, IdealIntegrator(), 25.0, np.random.default_rng(4),
-            target_errors=10, max_bits=3000, min_bits=1000)
+        errors, bits = ber_point(25.0, 4, target_errors=10,
+                                 max_bits=3000, min_bits=1000)
         assert errors / bits < 0.01
 
     def test_paired_seed_reproducible(self):
         kwargs = dict(target_errors=20, max_bits=3000, min_bits=500)
-        a = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(5), **kwargs)
-        b = simulate_ber_point(FAST, IdealIntegrator(), 8.0,
-                               np.random.default_rng(5), **kwargs)
-        assert a == b
+        assert ber_point(8.0, 5, **kwargs) == ber_point(8.0, 5, **kwargs)
 
     def test_two_pole_close_to_ideal_at_drive(self):
         kwargs = dict(target_errors=50, max_bits=6000, min_bits=2000,
-                      squarer_drive=0.05)
-        e_i, n_i = simulate_ber_point(FAST, IdealIntegrator(), 10.0,
-                                      np.random.default_rng(6), **kwargs)
-        e_t, n_t = simulate_ber_point(FAST, TwoPoleIntegrator(), 10.0,
-                                      np.random.default_rng(6), **kwargs)
+                      spec=SPEC.with_frontend(squarer_drive=0.05))
+        e_i, n_i = ber_point(10.0, 6, IdealIntegrator(), **kwargs)
+        e_t, n_t = ber_point(10.0, 6, TwoPoleIntegrator(), **kwargs)
         assert abs(e_i / n_i - e_t / n_t) < 0.05
 
     def test_overdrive_degrades_circuit_ber(self):
         kwargs = dict(target_errors=60, max_bits=8000, min_bits=3000)
-        e_lin, n_lin = simulate_ber_point(
-            FAST, CircuitSurrogateIntegrator(), 10.0,
-            np.random.default_rng(7), squarer_drive=0.05, **kwargs)
-        e_sat, n_sat = simulate_ber_point(
-            FAST, CircuitSurrogateIntegrator(), 10.0,
-            np.random.default_rng(7), squarer_drive=0.35, **kwargs)
+        e_lin, n_lin = ber_point(
+            10.0, 7, CircuitSurrogateIntegrator(),
+            spec=SPEC.with_frontend(squarer_drive=0.05), **kwargs)
+        e_sat, n_sat = ber_point(
+            10.0, 7, CircuitSurrogateIntegrator(),
+            spec=SPEC.with_frontend(squarer_drive=0.35), **kwargs)
         assert e_sat / n_sat > e_lin / n_lin
 
     def test_result_rows(self):
-        res = ber_curve(FAST, IdealIntegrator(), [5.0],
-                        np.random.default_rng(8),
-                        target_errors=10, max_bits=1000, min_bits=500,
-                        label="x")
+        res = FastsimBackend().ber_curve(
+            SPEC, [5.0], np.random.default_rng(8),
+            target_errors=10, max_bits=1000, min_bits=500, label="x")
         rows = res.as_rows()
         assert len(rows) == 1
         assert rows[0][3] >= 500
@@ -78,7 +77,7 @@ class TestFastsim:
 
 class TestLinkCachePilot:
     """The cached Eb/peak pilot must see exactly the data-path
-    processing of simulate_ber_point (delay trim + whole-symbol
+    processing of the BER pipeline (delay trim + whole-symbol
     truncation)."""
 
     def _channel(self, delay: int) -> ChannelRealization:
@@ -121,6 +120,11 @@ class TestLinkCachePilot:
         assert cache.eb < eb_with_tail
 
 
+def kernel_packet(integrator, waveform, **options):
+    return KernelBackend().packet(SPEC, waveform, integrator=integrator,
+                                  **options)
+
+
 class TestAmsReceiver:
     def _clean_signal(self, bits, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -136,27 +140,27 @@ class TestAmsReceiver:
         bits = np.array([1, 0, 0, 1, 1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
         for kind in ("ideal", "two_pole", "surrogate"):
-            res = run_ams_receiver(FAST, kind, sig)
+            res = kernel_packet(kind, sig)
             assert np.array_equal(res.bits, bits), kind
 
     def test_cosim_demodulation(self):
         bits = np.array([1, 0, 1], dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "circuit", sig)
+        res = kernel_packet("circuit", sig)
         assert np.array_equal(res.bits, bits)
         assert res.cpu_time > 0
 
     def test_cosim_slower_than_behavioral(self):
         bits = np.array([1, 0], dtype=np.int8)
         sig = self._clean_signal(bits)
-        fast = run_ams_receiver(FAST, "ideal", sig)
-        slow = run_ams_receiver(FAST, "circuit", sig)
+        fast = kernel_packet("ideal", sig)
+        slow = kernel_packet("circuit", sig)
         assert slow.cpu_time > 2.0 * fast.cpu_time
 
     def test_recorder_attached(self):
         bits = np.array([0, 1], dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "ideal", sig, record=True)
+        res = kernel_packet("ideal", sig, record=True)
         assert res.recorder is not None
         trace = res.recorder.trace("int_out")
         assert trace.maximum() > 0
@@ -164,16 +168,21 @@ class TestAmsReceiver:
     def test_slot_values_shape(self):
         bits = np.zeros(4, dtype=np.int8)
         sig = self._clean_signal(bits)
-        res = run_ams_receiver(FAST, "ideal", sig)
+        res = kernel_packet("ideal", sig)
         assert res.slot_values.shape == (4, 2)
         # preamble-like zeros: slot 0 collects the energy
         assert np.all(res.slot_values[:, 0] > res.slot_values[:, 1])
 
     def test_make_integrator_resolution(self):
-        assert isinstance(make_integrator("ideal"), IdealIntegrator)
-        assert isinstance(make_integrator("two_pole"), TwoPoleIntegrator)
-        assert make_integrator("circuit") == "circuit"
+        """The link registry resolves what the kernel testbench takes
+        (``cosim=True`` keeps ``"circuit"`` symbolic)."""
+        def resolve(kind):
+            return resolve_integrator(kind, cosim=True)
+
+        assert isinstance(resolve("ideal"), IdealIntegrator)
+        assert isinstance(resolve("two_pole"), TwoPoleIntegrator)
+        assert resolve("circuit") == "circuit"
         inst = TwoPoleIntegrator()
-        assert make_integrator(inst) is inst
+        assert resolve(inst) is inst
         with pytest.raises(ValueError):
-            make_integrator("quantum")
+            resolve("quantum")
